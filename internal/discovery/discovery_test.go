@@ -287,10 +287,11 @@ func TestSilenceLeadsToGraceThenPurge(t *testing.T) {
 	if !sawGrace {
 		t.Fatal("member never entered grace")
 	}
-	// ...then gets purged.
+	// ...then gets purged. The purge announcement follows the removal
+	// from the member table, so wait for the announcement.
 	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := f.svc.Member(ch.LocalID()); !ok {
+		if f.sink.ofType(event.TypePurgeMember) != nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -352,10 +353,14 @@ func TestLeavePurgesImmediately(t *testing.T) {
 	if err := Leave(ch, res.Discovery); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
+	// The purge announcement follows the removal from the member
+	// table, so wait for the announcement.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := f.svc.Member(ch.LocalID()); !ok {
-			purges := f.sink.ofType(event.TypePurgeMember)
+		if purges := f.sink.ofType(event.TypePurgeMember); purges != nil {
+			if _, ok := f.svc.Member(ch.LocalID()); ok {
+				t.Fatal("purge announced while still a member")
+			}
 			if len(purges) != 1 {
 				t.Fatalf("purge events = %d", len(purges))
 			}

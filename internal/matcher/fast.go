@@ -40,9 +40,9 @@ type FastMatcher struct {
 	// free lists recyclable dense slots (writer-side).
 	free []int
 
-	// scratch pools per-match counting state for callers that do not
+	// scratch lends per-match counting state to callers that do not
 	// supply their own Scratch.
-	scratch sync.Pool
+	scratch scratchCache
 }
 
 var _ Matcher = (*FastMatcher)(nil)
@@ -192,7 +192,6 @@ func NewFast() *FastMatcher {
 		subs: make(map[ident.ID][]*fastFilter),
 	}
 	m.idx.Store(emptyFastIndex)
-	m.scratch.New = func() interface{} { return NewScratch() }
 	return m
 }
 
@@ -435,12 +434,12 @@ func (m *FastMatcher) Match(e *event.Event) []ident.ID {
 	return m.MatchAppend(e, nil)
 }
 
-// MatchAppend implements Matcher using pooled scratch; see
+// MatchAppend implements Matcher using cached scratch; see
 // MatchAppendScratch for the algorithm.
 func (m *FastMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
-	sc, _ := m.scratch.Get().(*Scratch)
+	sc := m.scratch.get()
 	dst = m.MatchAppendScratch(e, dst, sc)
-	m.scratch.Put(sc)
+	m.scratch.put(sc)
 	return dst
 }
 

@@ -1,6 +1,8 @@
 package matcher
 
 import (
+	"sync/atomic"
+
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
 )
@@ -33,6 +35,42 @@ type Scratch struct {
 // NewScratch returns an empty Scratch, ready for use with any matcher.
 func NewScratch() *Scratch {
 	return &Scratch{seen: make(map[ident.ID]struct{}, 8)}
+}
+
+// scratchSlots sizes a matcher's scratchCache: enough for the
+// concurrent MatchAppend callers of a small host; more fall back to
+// allocating.
+const scratchSlots = 8
+
+// scratchCache lends Scratch to MatchAppend callers that bring none.
+// It is a fixed array of slots taken and returned by compare-and-swap,
+// so the match path stays free of locks: a sync.Pool would do the
+// same job, but after every GC its Get and Put go through the
+// runtime's pool registration, which takes a global mutex. A miss
+// allocates; a return to a full cache drops the Scratch.
+type scratchCache struct {
+	slots [scratchSlots]atomic.Pointer[Scratch]
+}
+
+// get takes a cached Scratch, or allocates one when every slot is empty.
+func (c *scratchCache) get() *Scratch {
+	for i := range c.slots {
+		if c.slots[i].Load() != nil {
+			if sc := c.slots[i].Swap(nil); sc != nil {
+				return sc
+			}
+		}
+	}
+	return NewScratch()
+}
+
+// put returns sc to the first empty slot.
+func (c *scratchCache) put(sc *Scratch) {
+	for i := range c.slots {
+		if c.slots[i].CompareAndSwap(nil, sc) {
+			return
+		}
+	}
 }
 
 // ScratchMatcher is implemented by matchers whose match path can run

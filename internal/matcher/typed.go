@@ -43,6 +43,9 @@ type TypedMatcher struct {
 	// bySub tracks installed filters per subscriber for Unsubscribe.
 	bySub map[ident.ID][]*typedSub
 	count atomic.Int64
+
+	// scratch lends a dedup set to callers without their own Scratch.
+	scratch scratchCache
 }
 
 var _ Matcher = (*TypedMatcher)(nil)
@@ -247,15 +250,12 @@ func (m *TypedMatcher) Match(e *event.Event) []ident.ID {
 	return m.MatchAppend(e, nil)
 }
 
-// typedScratch pools per-match Scratch for callers without their own.
-var typedScratch = sync.Pool{New: func() interface{} { return NewScratch() }}
-
-// MatchAppend implements Matcher using pooled scratch; see
+// MatchAppend implements Matcher using cached scratch; see
 // MatchAppendScratch.
 func (m *TypedMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
-	sc := typedScratch.Get().(*Scratch)
+	sc := m.scratch.get()
 	dst = m.MatchAppendScratch(e, dst, sc)
-	typedScratch.Put(sc)
+	m.scratch.put(sc)
 	return dst
 }
 

@@ -512,17 +512,14 @@ func (e *Endpoint) enqueue(d transport.Datagram) {
 
 // Recv implements transport.Transport.
 func (e *Endpoint) Recv() (transport.Datagram, error) {
-	select {
-	case d := <-e.queue:
-		return d, nil
-	case <-e.closed:
-		select {
-		case d := <-e.queue:
-			return d, nil
-		default:
-			return transport.Datagram{}, transport.ErrClosed
-		}
-	}
+	var dg [1]transport.Datagram
+	_, err := transport.RecvBatchQueue(e.queue, e.closed, dg[:])
+	return dg[0], err
+}
+
+// RecvBatch implements transport.Transport.
+func (e *Endpoint) RecvBatch(dst []transport.Datagram) (int, error) {
+	return transport.RecvBatchQueue(e.queue, e.closed, dst)
 }
 
 // RecvTimeout implements transport.Transport.

@@ -371,3 +371,31 @@ func TestReorderDefaultDelay(t *testing.T) {
 		t.Errorf("explicit reorderBy = %v", got)
 	}
 }
+
+// TestEndpointRecvBatch checks that a perfect link's inline deliveries
+// come back from one RecvBatch as a single in-order burst.
+func TestEndpointRecvBatch(t *testing.T) {
+	n := New(Perfect, WithSeed(2))
+	defer n.Close()
+	a, _ := n.Attach(ident.New(1))
+	b, _ := n.Attach(ident.New(2))
+	for i := 0; i < 5; i++ {
+		if err := a.Send(b.LocalID(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dst [8]transport.Datagram
+	got, err := b.RecvBatch(dst[:])
+	if got != 5 || err != nil {
+		t.Fatalf("RecvBatch = %d, %v; want the 5 queued datagrams", got, err)
+	}
+	for i, dg := range dst[:got] {
+		if dg.Data[0] != byte(i) {
+			t.Fatalf("datagram %d carries %d", i, dg.Data[0])
+		}
+	}
+	b.Close()
+	if _, err := b.RecvBatch(dst[:]); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("after close: err = %v, want ErrClosed", err)
+	}
+}

@@ -12,7 +12,32 @@
 //     bounded reorder buffer and releases packets to Recv strictly in
 //     sequence order, so packets cannot overtake one another;
 //   - at-most-once: duplicates created by retransmission are
-//     suppressed by the cumulative sequence state.
+//     suppressed by the cumulative sequence state;
+//   - at-least-once: the cumulative state, and so the acknowledgement,
+//     advances only over packets actually handed to the inbound queue.
+//     A packet that finds the queue (Config.QueueDepth) full stays
+//     unacknowledged and the sender's retransmission brings it back.
+//
+// Acknowledgement policy. The receive loop reads datagrams in bursts
+// (transport.Transport.RecvBatch, up to 32 at a time) and acknowledges
+// in-order arrivals once per sender per burst: each one only records
+// the sender's new cumulative position, and after the burst one PktAck
+// per sender carries it. A stream that arrives in order therefore costs
+// one ack datagram per burst rather than one per packet, and the
+// deferral never outlives the burst. Every other arrival acknowledges
+// at once, because its ack is a signal rather than a receipt:
+//
+//   - a gap (packet parked in the reorder buffer) sends a duplicate ack,
+//     the sender's fast-retransmit trigger after three of them;
+//   - a hole fill that releases parked packets reports the jump at once;
+//   - a duplicate at or below the cumulative position re-acknowledges,
+//     since the sender may have missed the earlier ack;
+//   - a stale-epoch packet draws this receiver's real position, which is
+//     how a restarted sender learns to reset its stream.
+//
+// An immediate ack supersedes the sender's deferred one, so a burst
+// never sends the same position twice (which the sender would count as
+// a duplicate).
 //
 // Give-up and stream resets. When the retry budget for a destination
 // is exhausted every queued packet fails with ErrGaveUp, but the
@@ -77,6 +102,9 @@ type Stats struct {
 	// packets.
 	BatchesSent   uint64
 	PiggybackAcks uint64
+	// AcksSent counts standalone PktAck datagrams sent; with receive-
+	// burst coalescing it falls below Received on an in-order stream.
+	AcksSent uint64
 	// PacketsAcquired/PacketsRecycled expose the inbound packet pool:
 	// every received packet is decoded into a pooled wire.Packet that
 	// the consumer releases after delivery. On a quiesced channel the
@@ -105,9 +133,9 @@ type counters struct {
 	// accounting lives here with the inbound counters).
 	acked, received, dupsDropped, buffered atomic.Uint64
 	staleAcks, staleEpoch                  atomic.Uint64
-	unreliableIn, piggybackAcks            atomic.Uint64
+	unreliableIn, piggybackAcks, acksSent  atomic.Uint64
 
-	_ [128 - (8*8)%128]byte
+	_ [128 - (9*8)%128]byte
 }
 
 func (c *counters) snapshot(pool *wire.PacketPool) Stats {
@@ -131,6 +159,7 @@ func (c *counters) snapshot(pool *wire.PacketPool) Stats {
 		UnreliableOut:   c.unreliableOut.Load(),
 		BatchesSent:     c.batchesSent.Load(),
 		PiggybackAcks:   c.piggybackAcks.Load(),
+		AcksSent:        c.acksSent.Load(),
 	}
 }
 
@@ -434,6 +463,18 @@ type recvState struct {
 	buf   map[uint64]*wire.Packet
 }
 
+// pendingAck is one sender's deferred cumulative acknowledgement,
+// waiting for the end of the receive burst.
+type pendingAck struct {
+	to    ident.ID
+	epoch byte
+	cum   uint64
+}
+
+// recvBurst is how many datagrams the receive loop reads per
+// RecvBatch: one recvmmsg vector of the UDP transport.
+const recvBurst = 32
+
 // Channel is a reliable packet conduit over one transport endpoint.
 type Channel struct {
 	tr  transport.Transport
@@ -462,6 +503,10 @@ type Channel struct {
 	// SendAsync hot path.
 	rmu sync.Mutex
 	rst map[ident.ID]*recvState
+
+	// acks holds the deferred acknowledgements of the current receive
+	// burst, at most one per sender. Only the receive loop touches it.
+	acks []pendingAck
 
 	inbound chan *wire.Packet
 	done    chan struct{}
@@ -1128,24 +1173,33 @@ func (c *Channel) Close() error {
 	return err
 }
 
+// recvLoop reads datagrams a burst at a time, handles each packet, and
+// then sends the burst's deferred cumulative acks, one per sender.
 func (c *Channel) recvLoop() {
 	defer c.wg.Done()
+	var burst [recvBurst]transport.Datagram
 	for {
-		dg, err := c.tr.Recv()
+		n, err := c.tr.RecvBatch(burst[:])
 		if err != nil {
 			return
 		}
-		// Pooled decode: the packet copies the payload into its own
-		// reusable buffer, so the datagram buffer goes straight back
-		// to the transport pool and no per-packet allocation remains.
-		pkt, err := c.pktPool.Unmarshal(dg.Data)
-		dg.Recycle()
-		if err != nil {
-			// Corrupted or foreign datagram: drop silently, as a
-			// datagram network must tolerate.
-			continue
+		for i := range burst[:n] {
+			// Pooled decode: the packet copies the payload into its own
+			// reusable buffer, so the datagram buffer goes straight back
+			// to the transport pool and no per-packet allocation remains.
+			pkt, err := c.pktPool.Unmarshal(burst[i].Data)
+			burst[i].Recycle()
+			if err != nil {
+				// Corrupted or foreign datagram: drop silently, as a
+				// datagram network must tolerate.
+				continue
+			}
+			c.handle(pkt)
 		}
-		c.handle(pkt)
+		for _, a := range c.acks {
+			c.sendAck(a.to, a.epoch, a.cum)
+		}
+		c.acks = c.acks[:0]
 	}
 }
 
@@ -1156,7 +1210,9 @@ func (c *Channel) handle(pkt *wire.Packet) {
 		pkt.Release()
 	case pkt.Flags&wire.FlagNoAck != 0:
 		c.ctr.unreliableIn.Add(1)
-		c.deliver(pkt)
+		if !c.deliver(pkt) {
+			pkt.Release()
+		}
 	default:
 		if pkt.Flags&wire.FlagBatch != 0 && pkt.Type == wire.PktEvent {
 			// A batch prologue may piggyback the peer's cumulative ack
@@ -1289,7 +1345,9 @@ func epochNewer(a, b byte) bool {
 
 // handleData runs the receiver half of the ARQ: cumulative state,
 // reorder buffer, strictly in-order release to Recv, and a cumulative
-// acknowledgement back to the sender.
+// acknowledgement back to the sender — deferred to the end of the
+// receive burst for a plain in-order arrival, immediate otherwise (see
+// the package doc).
 func (c *Channel) handleData(pkt *wire.Packet) {
 	// Capture the sender before the switch: delivering or releasing
 	// the pooled packet hands ownership away, so its fields must not
@@ -1321,26 +1379,41 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 			// Acknowledge with this receiver's actual position: a
 			// restarted sender stuck behind state we hold for its
 			// previous incarnation learns of it from this ack and
-			// resets its stream (see handleAck).
-			c.sendAck(sender, epoch, cum)
+			// resets its stream (see applyAck).
+			c.ackNow(sender, epoch, cum)
 			return
 		}
 	}
+	deferAck := false
 	switch {
 	case pkt.Seq <= st.cum:
 		c.ctr.dupsDropped.Add(1)
 		pkt.Release()
 	case pkt.Seq == st.cum+1:
-		c.deliver(pkt)
+		if len(st.buf) > 0 {
+			if stale, ok := st.buf[pkt.Seq]; ok {
+				// A release stopped here on a full queue and left the
+				// packet parked; this retransmission replaces it.
+				delete(st.buf, pkt.Seq)
+				stale.Release()
+			}
+		}
+		// A packet the queue cannot take stays unacknowledged: cum
+		// does not move, and the sender retransmits it.
+		deferAck = true
+		if !c.deliver(pkt) {
+			pkt.Release()
+			break
+		}
 		st.cum++
 		c.ctr.received.Add(1)
 		for len(st.buf) > 0 {
 			next, ok := st.buf[st.cum+1]
-			if !ok {
-				break
+			if !ok || !c.deliver(next) {
+				break // hole, or queue full: the rest stays parked
 			}
 			delete(st.buf, st.cum+1)
-			c.deliver(next)
+			deferAck = false // hole filled: report the jump now
 			st.cum++
 			c.ctr.received.Add(1)
 		}
@@ -1363,12 +1436,45 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 	c.rmu.Unlock()
 	// Always (re-)acknowledge, including for duplicates: the sender
 	// may have missed the previous ack.
-	c.sendAck(sender, epoch, cum)
+	if deferAck {
+		c.ackLater(sender, epoch, cum)
+	} else {
+		c.ackNow(sender, epoch, cum)
+	}
+}
+
+// ackLater records dst's cumulative position for the ack sent at the
+// end of the receive burst, replacing any earlier one for dst.
+func (c *Channel) ackLater(dst ident.ID, epoch byte, cum uint64) {
+	for i := range c.acks {
+		if c.acks[i].to == dst {
+			c.acks[i].epoch, c.acks[i].cum = epoch, cum
+			return
+		}
+	}
+	c.acks = append(c.acks, pendingAck{to: dst, epoch: epoch, cum: cum})
+}
+
+// ackNow acknowledges at once. The ack carries dst's latest position,
+// so it supersedes a deferred one: dropping that keeps the burst from
+// repeating the same position, which the sender would count as a
+// duplicate ack.
+func (c *Channel) ackNow(dst ident.ID, epoch byte, cum uint64) {
+	for i := range c.acks {
+		if c.acks[i].to == dst {
+			last := len(c.acks) - 1
+			c.acks[i] = c.acks[last]
+			c.acks = c.acks[:last]
+			break
+		}
+	}
+	c.sendAck(dst, epoch, cum)
 }
 
 // sendAck emits a cumulative acknowledgement covering every packet of
 // the epoch up to and including cum.
 func (c *Channel) sendAck(dst ident.ID, epoch byte, cum uint64) {
+	c.ctr.acksSent.Add(1)
 	ack := wire.Packet{
 		Type:   wire.PktAck,
 		Flags:  wire.FlagCumAck,
@@ -1385,15 +1491,16 @@ func (c *Channel) sendAck(dst ident.ID, epoch byte, cum uint64) {
 	putBuf(bp)
 }
 
-func (c *Channel) deliver(pkt *wire.Packet) {
+// deliver hands pkt to the inbound queue and reports whether it took
+// it. A full queue (the bounded memory of the target platform) or a
+// closed channel refuses it, and pkt stays the caller's: a reliable
+// caller leaves it unacknowledged.
+func (c *Channel) deliver(pkt *wire.Packet) bool {
 	select {
 	case c.inbound <- pkt:
+		return true
 	case <-c.done:
-		pkt.Release()
 	default:
-		// Inbound overflow: drop. The sender has already been acked;
-		// this models the bounded memory of the target platform.
-		// Sized queues make this effectively unreachable in tests.
-		pkt.Release()
 	}
+	return false
 }

@@ -125,6 +125,15 @@ func TestTortureFIFOAtMostOnce(t *testing.T) {
 			if st := recv.Stats(); st.Buffered == 0 {
 				t.Logf("note: no reordering absorbed (stats %+v)", st)
 			}
+			// Gaps must still draw immediate duplicate acks: with a
+			// window, loss recovery goes through fast retransmit.
+			var fast uint64
+			for _, c := range chans {
+				fast += c.Stats().FastRetransmits
+			}
+			if window > 1 && fast == 0 {
+				t.Errorf("no fast retransmits at window=%d: duplicate acks lost", window)
+			}
 		})
 	}
 }

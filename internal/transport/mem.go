@@ -173,18 +173,14 @@ func (t *MemTransport) enqueue(d Datagram) {
 
 // Recv implements Transport.
 func (t *MemTransport) Recv() (Datagram, error) {
-	select {
-	case d := <-t.queue:
-		return d, nil
-	case <-t.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case d := <-t.queue:
-			return d, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
-	}
+	var dg [1]Datagram
+	_, err := RecvBatchQueue(t.queue, t.closed, dg[:])
+	return dg[0], err
+}
+
+// RecvBatch implements Transport.
+func (t *MemTransport) RecvBatch(dst []Datagram) (int, error) {
+	return RecvBatchQueue(t.queue, t.closed, dst)
 }
 
 // RecvTimeout implements Transport.

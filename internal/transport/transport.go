@@ -37,12 +37,51 @@ type Transport interface {
 	Send(dst ident.ID, data []byte) error
 	// Recv blocks until a datagram arrives or the transport closes.
 	Recv() (Datagram, error)
+	// RecvBatch is Recv for a burst: it blocks like Recv for the first
+	// datagram, then fills the rest of dst from datagrams already
+	// queued, without waiting for more, and returns how many it
+	// stored. A receiver that handles a whole burst before replying
+	// (the reliable channel acknowledges once per sender per burst)
+	// uses it to learn what arrived together. After Close it returns
+	// what is still queued, then ErrClosed. The caller owns every
+	// returned datagram, as with Recv.
+	RecvBatch(dst []Datagram) (int, error)
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout when
 	// the deadline passes with nothing received.
 	RecvTimeout(d time.Duration) (Datagram, error)
 	// Close shuts the endpoint down; pending and future Recv calls
 	// return ErrClosed.
 	Close() error
+}
+
+// RecvBatchQueue implements Transport.RecvBatch (and, with a one-slot
+// dst, Recv) for a transport whose receive side is a datagram channel
+// and a closed signal: it blocks for the first datagram, then drains
+// what is already queued into the rest of dst. Transports outside this
+// package (netsim) share it.
+func RecvBatchQueue(queue <-chan Datagram, closed <-chan struct{}, dst []Datagram) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
+	}
+	select {
+	case dst[0] = <-queue:
+	case <-closed:
+		select {
+		case dst[0] = <-queue:
+		default:
+			return 0, ErrClosed
+		}
+	}
+	n := 1
+	for n < len(dst) {
+		select {
+		case dst[n] = <-queue:
+			n++
+		default:
+			return n, nil
+		}
+	}
+	return n, nil
 }
 
 // BatchSender is an optional Transport capability: transmitting a

@@ -262,17 +262,14 @@ var _ BatchSender = (*UDPTransport)(nil)
 
 // Recv implements Transport.
 func (t *UDPTransport) Recv() (Datagram, error) {
-	select {
-	case d := <-t.queue:
-		return d, nil
-	case <-t.done:
-		select {
-		case d := <-t.queue:
-			return d, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
-	}
+	var dg [1]Datagram
+	_, err := RecvBatchQueue(t.queue, t.done, dg[:])
+	return dg[0], err
+}
+
+// RecvBatch implements Transport.
+func (t *UDPTransport) RecvBatch(dst []Datagram) (int, error) {
+	return RecvBatchQueue(t.queue, t.done, dst)
 }
 
 // RecvTimeout implements Transport.
