@@ -300,9 +300,9 @@ type memberState struct {
 	deviceType string
 	px         *proxy.Proxy
 	// via is the channel the member is reachable on (the proxy's
-	// sender); control replies like PktDurableAck go through it so
+	// channel); control replies like PktDurableAck go through it so
 	// they share the proxy's per-destination FIFO stream.
-	via proxy.Sender
+	via *reliable.Channel
 }
 
 // shardWorker is one pipeline worker: its own bounded queue plus
@@ -429,7 +429,7 @@ func (b *Bus) AttachChannel(ch *reliable.Channel) {
 // channel instead of the bus's main endpoint (per-proxy transport,
 // §III-B). The channel must have been attached with AttachChannel for
 // the member's inbound traffic to reach the bus.
-func (b *Bus) AddMemberVia(id ident.ID, deviceType, name string, via proxy.Sender) error {
+func (b *Bus) AddMemberVia(id ident.ID, deviceType, name string, via *reliable.Channel) error {
 	return b.addMember(id, deviceType, name, via)
 }
 
@@ -499,7 +499,7 @@ func (b *Bus) AddMember(id ident.ID, deviceType, name string) error {
 	return b.addMember(id, deviceType, name, b.ch)
 }
 
-func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.Sender) error {
+func (b *Bus) addMember(id ident.ID, deviceType, name string, via *reliable.Channel) error {
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()

@@ -11,8 +11,9 @@ import (
 )
 
 func TestWithProxyConfigApplies(t *testing.T) {
-	// Pipeline 1: the sequential loop, so the queue (not the in-flight
-	// window) absorbs the backlog and the tiny cap is observable.
+	// Pipeline 1: a window of one delivery in flight, so the queue
+	// (not the in-flight window) absorbs the backlog and the tiny cap
+	// is observable.
 	cfg := proxy.Config{QueueCap: 2, RedeliveryInterval: time.Hour, Pipeline: 1}
 	r := newRig(t, WithProxyConfig(cfg))
 	pub := r.member(t, 1, "generic")

@@ -325,21 +325,19 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 		LeaseMillis: uint32(s.cfg.Lease / time.Millisecond),
 		GraceMillis: uint32(s.cfg.Grace / time.Millisecond),
 	})
+	if !rejoin {
+		// Announce before the accept: the device may publish as soon as
+		// it learns it was admitted, and policies scoped to its device
+		// type deploy on this event.
+		s.emitMembership(event.TypeNewMember, pkt.Sender, req.DeviceType, req.DeviceName, "")
+	}
 	if err := s.ch.Send(pkt.Sender, wire.PktJoinAccept, accept); err != nil {
-		// Could not confirm admission: roll back so the device can
-		// retry cleanly.
+		// Could not confirm admission: purge so the device can retry
+		// cleanly.
 		if !rejoin {
-			s.mu.Lock()
-			delete(s.members, pkt.Sender)
-			s.mu.Unlock()
-			if s.cfg.Unregister != nil {
-				s.cfg.Unregister(pkt.Sender)
-			}
+			s.purge(pkt.Sender, "join-unconfirmed")
 		}
 		return
-	}
-	if !rejoin {
-		s.emitMembership(event.TypeNewMember, pkt.Sender, req.DeviceType, req.DeviceName, "")
 	}
 }
 

@@ -25,6 +25,7 @@ type Network struct {
 	scale    float64
 	closed   bool
 	stats    Stats
+	hook     transport.DeliveryHook
 
 	// Delayed deliveries live in one pooled min-heap drained by a
 	// single scheduler goroutine (started lazily on the first delayed
@@ -233,6 +234,16 @@ func (n *Network) Restore(id ident.ID) {
 	delete(n.isolated, id)
 }
 
+// SetDeliveryHook installs (or, with nil, removes) a test hook applied
+// to every datagram that passes the partition and isolation checks. A
+// drop counts in Stats.Dropped; a delay adds to the link's delay. The
+// hook runs under the network's lock and must not call back into it.
+func (n *Network) SetDeliveryHook(h transport.DeliveryHook) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.hook = h
+}
+
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
@@ -305,6 +316,15 @@ func (n *Network) sendOneLocked(from, to ident.ID, data []byte) {
 		n.stats.Blocked++
 		return
 	}
+	var hookDelay time.Duration
+	if n.hook != nil {
+		drop, d := n.hook(from, to, data)
+		if drop {
+			n.stats.Dropped++
+			return
+		}
+		hookDelay = d
+	}
 	p, ok := n.links[key]
 	if !ok {
 		p = n.def
@@ -317,7 +337,7 @@ func (n *Network) sendOneLocked(from, to ident.ID, data []byte) {
 		n.stats.Dropped++
 		return
 	}
-	delay := n.linkDelayLocked(key, p, len(data))
+	delay := n.linkDelayLocked(key, p, len(data)) + hookDelay
 	if p.Reorder > 0 && n.rng.Float64() < p.Reorder {
 		n.stats.Reordered++
 		delay += n.scaled(p.reorderBy())

@@ -286,6 +286,18 @@ func TestNetworkCloseWaitsForTimers(t *testing.T) {
 	if err := a.Send(b.LocalID(), []byte("x")); !errors.Is(err, transport.ErrClosed) {
 		t.Errorf("send after close: %v", err)
 	}
+	// Endpoints close with the network: Recv drains what may already
+	// have landed, then reports ErrClosed.
+	var err error
+	for i := 0; i < 2 && err == nil; i++ {
+		_, err = b.Recv()
+	}
+	if !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("recv after network close: %v", err)
+	}
+	if err := n.Close(); err != nil {
+		t.Errorf("second close: %v", err)
+	}
 }
 
 func TestTimeScaleSpeedsUpLatency(t *testing.T) {
@@ -397,5 +409,63 @@ func TestEndpointRecvBatch(t *testing.T) {
 	b.Close()
 	if _, err := b.RecvBatch(dst[:]); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("after close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestDeliveryHookDropAndDelay scripts exact loss and reorder on a
+// perfect link: a dropped datagram counts in Stats.Dropped, a delayed
+// one is overtaken, and removing the hook restores plain delivery.
+func TestDeliveryHookDropAndDelay(t *testing.T) {
+	n := New(Perfect)
+	defer n.Close()
+	a, _ := n.Attach(ident.New(1))
+	b, _ := n.Attach(ident.New(2))
+
+	var calls int
+	n.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+		calls++
+		switch calls {
+		case 1:
+			return true, 0 // drop the first datagram
+		case 2:
+			return false, 20 * time.Millisecond // delay the second
+		default:
+			return false, 0
+		}
+	})
+
+	for i := byte(1); i <= 3; i++ {
+		if err := a.Send(b.LocalID(), []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Datagram 1 dropped, 2 delayed: 3 arrives first, then 2.
+	dg, err := b.RecvTimeout(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dg.Data[0] != 3 {
+		t.Errorf("first arrival = %d, want 3 (hook reorder)", dg.Data[0])
+	}
+	dg, err = b.RecvTimeout(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dg.Data[0] != 2 {
+		t.Errorf("second arrival = %d, want 2 (delayed)", dg.Data[0])
+	}
+	if _, err := b.RecvTimeout(50 * time.Millisecond); err == nil {
+		t.Error("dropped datagram surfaced")
+	}
+	if st := n.Stats(); st.Dropped != 1 {
+		t.Errorf("Dropped = %d, want the hook's drop counted", st.Dropped)
+	}
+
+	n.SetDeliveryHook(nil)
+	if err := a.Send(b.LocalID(), []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if dg, err = b.RecvTimeout(time.Second); err != nil || dg.Data[0] != 9 {
+		t.Errorf("after hook removal: %v %v", dg, err)
 	}
 }

@@ -23,6 +23,18 @@ type pipelineRig struct {
 
 func newPipelineRig(t *testing.T, p netsim.Profile, seed int64, cfg Config) *pipelineRig {
 	t.Helper()
+	return newRig(t, p, seed, cfg, &GenericDevice{}, nil)
+}
+
+// newDeviceRig is a rig on a perfect link whose proxy serves dev and
+// publishes inbound translations through pub.
+func newDeviceRig(t *testing.T, dev Device, pub Publisher, cfg Config) *pipelineRig {
+	t.Helper()
+	return newRig(t, netsim.Perfect, 1, cfg, dev, pub)
+}
+
+func newRig(t *testing.T, p netsim.Profile, seed int64, cfg Config, dev Device, pub Publisher) *pipelineRig {
+	t.Helper()
 	n := netsim.New(p, netsim.WithSeed(seed))
 	ta, err := n.Attach(ident.New(1))
 	if err != nil {
@@ -39,7 +51,7 @@ func newPipelineRig(t *testing.T, p netsim.Profile, seed int64, cfg Config) *pip
 		Window:          8,
 	}
 	sender, member := reliable.New(ta, rcfg), reliable.New(tb, rcfg)
-	px := New(ident.New(2), &GenericDevice{}, sender, nil, cfg)
+	px := New(ident.New(2), dev, sender, pub, cfg)
 	px.Start()
 	t.Cleanup(func() {
 		px.Purge()

@@ -29,40 +29,6 @@ import (
 	"github.com/amuse/smc/internal/wire"
 )
 
-// Sender is the slice of the reliable channel a proxy needs.
-// Implementations must not retain payload after Send returns: the
-// proxy recycles encode buffers through a pool, so a Sender that
-// queues the slice for asynchronous transmission must copy it first
-// (the in-repo reliable.Channel marshals into its own buffer before
-// Send/SendAsync return, satisfying this trivially).
-type Sender interface {
-	Send(dst ident.ID, ptype wire.PacketType, payload []byte) error
-}
-
-// AsyncSender is implemented by senders that can pipeline: SendAsync
-// enqueues the packet (copying the payload before returning) and
-// resolves the completion when it is acknowledged or fails. A proxy
-// whose sender implements AsyncSender keeps up to Config.Pipeline
-// deliveries in flight instead of waiting out one network round trip
-// per queued event — the member-enqueue half of the sliding-window
-// pipeline. reliable.Channel is the canonical implementation.
-type AsyncSender interface {
-	Sender
-	SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion
-}
-
-// BatchAsyncSender is implemented by senders that additionally accept
-// pre-framed event batches (wire.FlagBatch payloads). A proxy with
-// batching enabled (Config.BatchEvents > 1) coalesces consecutive
-// event deliveries into one batch payload and sends it through
-// SendBatchAsync — one reliable packet, one acknowledgement, one
-// network crossing for the whole run of events. reliable.Channel is
-// the canonical implementation.
-type BatchAsyncSender interface {
-	AsyncSender
-	SendBatchAsync(dst ident.ID, payload []byte) *reliable.Completion
-}
-
 // Publisher lets a proxy inject translated device data into the bus.
 type Publisher func(e *event.Event) error
 
@@ -134,8 +100,8 @@ func (g *GenericDevice) InitialSubscriptions() []*event.Filter { return nil }
 type Config struct {
 	// QueueCap bounds the outbound queue (bounded memory on the
 	// target platform); enqueueing beyond it drops the oldest event.
-	// With a pipelining sender up to Pipeline further events are in
-	// flight outside this queue, so total buffering is QueueCap+Pipeline.
+	// Up to Pipeline further deliveries are in flight outside this
+	// queue, so total buffering is QueueCap+Pipeline deliveries.
 	QueueCap int
 	// RedeliveryInterval is the pause between delivery attempts after
 	// the reliable layer gave up, while the member is still in the
@@ -144,13 +110,14 @@ type Config struct {
 	// declared to have left the SMC").
 	RedeliveryInterval time.Duration
 	// Pipeline bounds how many deliveries the proxy keeps in flight
-	// when its sender implements AsyncSender (default 8). Pipeline=1
-	// forces the sequential one-at-a-time loop.
+	// on the reliable channel, awaiting acknowledgement (default 8).
+	// Pipeline=1 is a window of one: each delivery waits for the
+	// previous one's acknowledgement.
 	Pipeline int
-	// BatchEvents enables outbound event coalescing when > 1 and the
-	// sender implements BatchAsyncSender: up to this many consecutive
-	// event deliveries are framed into one batch packet (flush on
-	// size). 0 or 1 disables batching.
+	// BatchEvents is how many consecutive event deliveries one
+	// delivery may carry. Above 1 they are framed into one batch
+	// packet (flush on size or deadline); 0 or 1 sends every event
+	// on its own, unframed.
 	BatchEvents int
 	// BatchBytes caps a batch payload's size in bytes; a frame that
 	// would push the batch past it flushes first. Defaults to 8 KiB
@@ -192,7 +159,7 @@ type Stats struct {
 type Proxy struct {
 	member   ident.ID
 	dev      Device
-	sender   Sender
+	ch       *reliable.Channel
 	pub      Publisher
 	cfg      Config
 	cloneOut bool // device mutates events: clone before TranslateOut
@@ -216,9 +183,10 @@ type Proxy struct {
 	done chan struct{}
 }
 
-// New builds a proxy for member using the given concrete device logic.
-// Start must be called before events are delivered.
-func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) *Proxy {
+// New builds a proxy for member using the given concrete device logic,
+// delivering through ch. Start must be called before events are
+// delivered.
+func New(member ident.ID, dev Device, ch *reliable.Channel, pub Publisher, cfg Config) *Proxy {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = DefaultConfig().QueueCap
 	}
@@ -227,6 +195,9 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 	}
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = DefaultConfig().Pipeline
+	}
+	if cfg.BatchEvents < 1 {
+		cfg.BatchEvents = 1 // the gather loop takes one event per delivery
 	}
 	if cfg.BatchEvents > 1 {
 		if cfg.BatchBytes <= 0 {
@@ -239,7 +210,7 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 	p := &Proxy{
 		member: member,
 		dev:    dev,
-		sender: sender,
+		ch:     ch,
 		pub:    pub,
 		cfg:    cfg,
 		wake:   make(chan struct{}, 1),
@@ -263,15 +234,9 @@ func (p *Proxy) InitialSubscriptions() []*event.Filter {
 	return p.dev.InitialSubscriptions()
 }
 
-// Start launches the delivery worker. Senders that can pipeline get
-// the windowed delivery loop; plain Senders keep the sequential one.
-func (p *Proxy) Start() {
-	if as, ok := p.sender.(AsyncSender); ok && p.cfg.Pipeline > 1 {
-		go p.deliverLoopAsync(as)
-		return
-	}
-	go p.deliverLoop()
-}
+// Start launches the delivery worker, which keeps up to
+// Config.Pipeline deliveries in flight on the channel.
+func (p *Proxy) Start() { go p.deliverLoop() }
 
 // Enqueue appends an outbound event to the FIFO queue. The event may be
 // shared with other subscribers' proxies and must not be mutated (the
@@ -360,24 +325,6 @@ func (p *Proxy) Purge() {
 	<-p.done
 }
 
-func (p *Proxy) deliverLoop() {
-	defer close(p.done)
-	for {
-		e, ok := p.next()
-		if !ok {
-			select {
-			case <-p.wake:
-				continue
-			case <-p.stop:
-				return
-			}
-		}
-		if !p.deliverOne(e) {
-			return // stopped during redelivery
-		}
-	}
-}
-
 // next pops the head of the queue.
 func (p *Proxy) next() (*event.Event, bool) {
 	p.mu.Lock()
@@ -388,45 +335,6 @@ func (p *Proxy) next() (*event.Event, bool) {
 	e := p.queue[0]
 	p.queue = p.queue[1:]
 	return e, true
-}
-
-// deliverOne pushes one event to the device, retrying after reliable
-// failures until success or purge. It reports false when the proxy was
-// stopped. Translation, the pooled-event release and the encode-buffer
-// lifecycle all live in translateOut — shared with the pipelined loop —
-// so there is exactly one release path.
-func (p *Proxy) deliverOne(e *event.Event) bool {
-	it, ok := p.translateOut(e)
-	if !ok {
-		// A translation error is a device-specific malfunction: the
-		// event cannot ever be delivered; drop it.
-		return true
-	}
-	defer p.releaseItem(it)
-
-	for {
-		err := p.sender.Send(p.member, it.ptype, it.payload)
-		if err == nil {
-			p.mu.Lock()
-			p.stats.Delivered++
-			p.mu.Unlock()
-			return true
-		}
-		if errors.Is(err, reliable.ErrClosed) {
-			return false
-		}
-		// Member unreachable but not yet purged: wait and resend.
-		p.mu.Lock()
-		p.stats.Redeliveries++
-		p.mu.Unlock()
-		timer := time.NewTimer(p.cfg.RedeliveryInterval)
-		select {
-		case <-p.stop:
-			timer.Stop()
-			return false
-		case <-timer.C:
-		}
-	}
 }
 
 // outItem is one translated event in the pipelined delivery loop. The
@@ -486,14 +394,15 @@ func (p *Proxy) translateOut(e *event.Event) (outItem, bool) {
 	}
 }
 
-// gatherBatch builds the next delivery for the batching pipeline: a
-// run of consecutive event deliveries coalesced into one batch
-// payload, or a single item when coalescing does not apply. It flushes
-// on size (Config.BatchEvents frames or Config.BatchBytes bytes), on
-// FIFO breaks (device-native data must not overtake the events queued
-// before it, so it flushes the run and is held over for the next
-// call), and on deadline (a partial batch waits at most
-// Config.FlushDelay for the queue to refill before going out as-is).
+// gatherBatch builds the next delivery: a run of up to
+// Config.BatchEvents consecutive event deliveries coalesced into one
+// batch payload, or a single item when coalescing does not apply (with
+// BatchEvents=1, always). It flushes on size (Config.BatchEvents
+// frames or Config.BatchBytes bytes), on FIFO breaks (device-native
+// data must not overtake the events queued before it, so it flushes
+// the run and is held over for the next call), and on deadline (a
+// partial batch waits at most Config.FlushDelay for the queue to
+// refill before going out as-is).
 // ok=false means the queue is empty and nothing is pending; the caller
 // waits on wake.
 func (p *Proxy) gatherBatch() (outItem, bool) {
@@ -585,19 +494,15 @@ func (p *Proxy) flushBatch(items []outItem) outItem {
 	}
 }
 
-// deliverLoopAsync is the windowed delivery worker: it keeps up to
+// deliverLoop is the windowed delivery worker: it keeps up to
 // Config.Pipeline sends in flight on the reliable channel and resolves
 // them in FIFO order. When the channel gives up on the member the
 // whole outstanding tail fails together (cumulative acks: a later
 // packet cannot be acknowledged without its predecessors), so the
 // failed items are re-sent in order after the redelivery pause —
 // byte-identical, see outItem.
-func (p *Proxy) deliverLoopAsync(as AsyncSender) {
+func (p *Proxy) deliverLoop() {
 	defer close(p.done)
-	bs, _ := as.(BatchAsyncSender)
-	if p.cfg.BatchEvents <= 1 {
-		bs = nil
-	}
 	var inflight []outItem // sent, awaiting acknowledgement (FIFO)
 	var retry []outItem    // failed, to re-send before new queue work
 	releaseAll := func() {
@@ -622,23 +527,13 @@ func (p *Proxy) deliverLoopAsync(as AsyncSender) {
 				p.mu.Lock()
 				p.stats.Redeliveries++
 				p.mu.Unlock()
-			} else if bs != nil {
-				if it, ok = p.gatherBatch(); !ok {
-					break
-				}
-			} else {
-				var e *event.Event
-				if e, ok = p.next(); !ok {
-					break
-				}
-				if it, ok = p.translateOut(e); !ok {
-					continue
-				}
+			} else if it, ok = p.gatherBatch(); !ok {
+				break
 			}
 			if it.batched {
-				it.comp = bs.SendBatchAsync(p.member, it.payload)
+				it.comp = p.ch.SendBatchAsync(p.member, it.payload)
 			} else {
-				it.comp = as.SendAsync(p.member, it.ptype, it.payload)
+				it.comp = p.ch.SendAsync(p.member, it.ptype, it.payload)
 			}
 			inflight = append(inflight, it)
 		}

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,45 +8,35 @@ import (
 
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
+	"github.com/amuse/smc/internal/reliable"
 	"github.com/amuse/smc/internal/wire"
 )
 
-// fakeSender records sends and can be programmed to fail.
-type fakeSender struct {
-	mu    sync.Mutex
-	sends []sentPacket
-	fail  int // fail this many sends before succeeding
-	errIs error
-}
-
+// sentPacket is one reliable packet as the member received it.
 type sentPacket struct {
-	dst     ident.ID
+	from    ident.ID
 	ptype   wire.PacketType
 	payload []byte
 }
 
-func (f *fakeSender) Send(dst ident.ID, ptype wire.PacketType, payload []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail > 0 {
-		f.fail--
-		if f.errIs != nil {
-			return f.errIs
+// recvPackets collects up to want packets from the member's channel,
+// copying each payload before releasing the packet.
+func recvPackets(ch *reliable.Channel, want int, timeout time.Duration) []sentPacket {
+	var got []sentPacket
+	deadline := time.Now().Add(timeout)
+	for len(got) < want && time.Now().Before(deadline) {
+		pkt, err := ch.RecvTimeout(time.Until(deadline))
+		if err != nil {
+			break
 		}
-		return errors.New("transient failure")
+		got = append(got, sentPacket{
+			from:    pkt.Sender,
+			ptype:   pkt.Type,
+			payload: append([]byte(nil), pkt.Payload...),
+		})
+		pkt.Release()
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	f.sends = append(f.sends, sentPacket{dst: dst, ptype: ptype, payload: cp})
-	return nil
-}
-
-func (f *fakeSender) snapshot() []sentPacket {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]sentPacket, len(f.sends))
-	copy(out, f.sends)
-	return out
+	return got
 }
 
 func collectPublishes() (Publisher, *[]*event.Event, *sync.Mutex) {
@@ -78,21 +67,21 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestProxyDeliversFIFO(t *testing.T) {
-	fs := &fakeSender{}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &GenericDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	r := newDeviceRig(t, &GenericDevice{}, nil, fastCfg())
+	p := r.px
 
 	for i := 0; i < 10; i++ {
 		e := event.NewTyped("x").SetInt("n", int64(i))
 		e.Sender, e.Seq = 1, uint64(i+1)
 		p.Enqueue(e)
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(fs.snapshot()) == 10 })
-	for i, s := range fs.snapshot() {
-		if s.ptype != wire.PktEvent || s.dst != ident.New(9) {
-			t.Fatalf("send %d: %v to %s", i, s.ptype, s.dst)
+	sends := recvPackets(r.member, 10, 2*time.Second)
+	if len(sends) != 10 {
+		t.Fatalf("member received %d/10", len(sends))
+	}
+	for i, s := range sends {
+		if s.ptype != wire.PktEvent || s.from != r.sender.LocalID() {
+			t.Fatalf("send %d: %v from %s", i, s.ptype, s.from)
 		}
 		e, err := wire.DecodeEvent(s.payload)
 		if err != nil {
@@ -103,34 +92,40 @@ func TestProxyDeliversFIFO(t *testing.T) {
 			t.Fatalf("send %d carries n=%d", i, n)
 		}
 	}
-	if st := p.Stats(); st.Delivered != 10 || st.Enqueued != 10 {
+	// Delivered counts acknowledgements, which trail the arrivals.
+	waitFor(t, 2*time.Second, func() bool { return p.Stats().Delivered == 10 })
+	if st := p.Stats(); st.Enqueued != 10 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestProxyRedeliversAfterFailures(t *testing.T) {
-	fs := &fakeSender{fail: 3}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &GenericDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	r := newDeviceRig(t, &GenericDevice{}, nil, fastCfg())
+	p := r.px
 
+	// The member is out of range: the channel gives up on each attempt
+	// and the proxy resends after RedeliveryInterval.
+	r.net.Isolate(r.member.LocalID())
 	p.Enqueue(event.NewTyped("x"))
-	waitFor(t, 2*time.Second, func() bool { return len(fs.snapshot()) == 1 })
-	if st := p.Stats(); st.Redeliveries != 3 || st.Delivered != 1 {
-		t.Errorf("stats = %+v", st)
+	waitFor(t, 5*time.Second, func() bool { return p.Stats().Redeliveries >= 2 })
+	r.net.Restore(r.member.LocalID())
+
+	if got := recvPackets(r.member, 1, 5*time.Second); len(got) != 1 {
+		t.Fatalf("member received %d packets, want 1", len(got))
+	}
+	waitFor(t, 2*time.Second, func() bool { return p.Stats().Delivered == 1 })
+	if extra := recvPackets(r.member, 1, 100*time.Millisecond); len(extra) != 0 {
+		t.Errorf("redelivery surfaced twice: %d extra", len(extra))
 	}
 }
 
 func TestProxyQueueBoundedDropOldest(t *testing.T) {
-	// A sender that never succeeds wedges the head; the queue then
+	// An unreachable member wedges the window of one; the queue then
 	// overflows and drops the oldest.
-	fs := &fakeSender{fail: 1 << 30}
-	pub, _, _ := collectPublishes()
-	cfg := Config{QueueCap: 4, RedeliveryInterval: time.Hour}
-	p := New(ident.New(9), &GenericDevice{}, fs, pub, cfg)
-	p.Start()
-	defer p.Purge()
+	cfg := Config{QueueCap: 4, RedeliveryInterval: time.Hour, Pipeline: 1}
+	r := newDeviceRig(t, &GenericDevice{}, nil, cfg)
+	r.net.Isolate(r.member.LocalID())
+	p := r.px
 
 	for i := 0; i < 10; i++ {
 		p.Enqueue(event.NewTyped("x").SetInt("n", int64(i)))
@@ -142,10 +137,10 @@ func TestProxyQueueBoundedDropOldest(t *testing.T) {
 }
 
 func TestPurgeDiscardsQueueAndStops(t *testing.T) {
-	fs := &fakeSender{fail: 1 << 30}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &GenericDevice{}, fs, pub, fastCfg())
-	p.Start()
+	cfg := Config{QueueCap: 16, RedeliveryInterval: time.Hour, Pipeline: 1}
+	r := newDeviceRig(t, &GenericDevice{}, nil, cfg)
+	r.net.Isolate(r.member.LocalID())
+	p := r.px
 
 	for i := 0; i < 5; i++ {
 		p.Enqueue(event.NewTyped("x"))
@@ -165,11 +160,8 @@ func TestPurgeDiscardsQueueAndStops(t *testing.T) {
 }
 
 func TestHandleInboundGenericDevice(t *testing.T) {
-	fs := &fakeSender{}
 	pub, events, mu := collectPublishes()
-	p := New(ident.New(9), &GenericDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	p := newDeviceRig(t, &GenericDevice{}, pub, fastCfg()).px
 
 	src := event.NewTyped("reading").SetFloat("v", 1.5)
 	if err := p.HandleInbound(wire.EncodeEvent(src)); err != nil {
@@ -181,7 +173,7 @@ func TestHandleInboundGenericDevice(t *testing.T) {
 		t.Fatalf("published %d", len(*events))
 	}
 	got := (*events)[0]
-	if got.Sender != ident.New(9) {
+	if got.Sender != p.Member() {
 		t.Errorf("sender = %s, want member", got.Sender)
 	}
 	if got.Seq != 1 {
@@ -193,11 +185,8 @@ func TestHandleInboundGenericDevice(t *testing.T) {
 }
 
 func TestHandleInboundBadData(t *testing.T) {
-	fs := &fakeSender{}
 	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &GenericDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	p := newDeviceRig(t, &GenericDevice{}, pub, fastCfg()).px
 	if err := p.HandleInbound([]byte("garbage")); err == nil {
 		t.Error("garbage accepted")
 	}
@@ -221,16 +210,15 @@ func (translatingDevice) InitialSubscriptions() []*event.Filter {
 }
 
 func TestTranslateOutProducesDataPackets(t *testing.T) {
-	fs := &fakeSender{}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), translatingDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	r := newDeviceRig(t, translatingDevice{}, nil, fastCfg())
+	p := r.px
 
 	p.Enqueue(event.NewTyped("cmd"))
 	p.Enqueue(event.NewTyped("other"))
-	waitFor(t, 2*time.Second, func() bool { return len(fs.snapshot()) == 2 })
-	sends := fs.snapshot()
+	sends := recvPackets(r.member, 2, 2*time.Second)
+	if len(sends) != 2 {
+		t.Fatalf("member received %d/2", len(sends))
+	}
 	if sends[0].ptype != wire.PktData || sends[0].payload[0] != 0xC0 {
 		t.Errorf("first send = %v % x", sends[0].ptype, sends[0].payload)
 	}
@@ -256,15 +244,11 @@ func (failingOutDevice) TranslateOut(*event.Event) ([]byte, bool, error) {
 }
 
 func TestTranslateOutErrorDropsEvent(t *testing.T) {
-	fs := &fakeSender{}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &failingOutDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	r := newDeviceRig(t, &failingOutDevice{}, nil, fastCfg())
+	p := r.px
 	p.Enqueue(event.NewTyped("x"))
 	p.Enqueue(event.NewTyped("y"))
-	time.Sleep(100 * time.Millisecond)
-	if n := len(fs.snapshot()); n != 0 {
+	if n := len(recvPackets(r.member, 1, 100*time.Millisecond)); n != 0 {
 		t.Errorf("%d sends despite translation errors", n)
 	}
 	if p.QueueLen() != 0 {
@@ -307,21 +291,20 @@ func (d *mutatingDevice) MutatesEvents() bool { return true }
 // contract: events are enqueued shared, and only a device that
 // declares MutatesEvents sees (and pays for) a private copy.
 func TestMutatingDeviceGetsPrivateClone(t *testing.T) {
-	fs := &fakeSender{}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &mutatingDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
+	r := newDeviceRig(t, &mutatingDevice{}, nil, fastCfg())
 
 	shared := event.NewTyped("x").SetInt("n", 1)
 	shared.Sender, shared.Seq = 1, 1
-	p.Enqueue(shared)
-	waitFor(t, 2*time.Second, func() bool { return len(fs.snapshot()) == 1 })
+	r.px.Enqueue(shared)
+	sends := recvPackets(r.member, 1, 2*time.Second)
+	if len(sends) != 1 {
+		t.Fatalf("member received %d/1", len(sends))
+	}
 
 	if shared.Has("stamped-by") {
 		t.Error("device mutation leaked into the shared event")
 	}
-	if got := fs.snapshot()[0]; got.ptype != wire.PktData || got.payload[0] != 0xAB {
+	if got := sends[0]; got.ptype != wire.PktData || got.payload[0] != 0xAB {
 		t.Errorf("translated send = %v %x", got.ptype, got.payload)
 	}
 }

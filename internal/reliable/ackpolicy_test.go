@@ -8,7 +8,6 @@ import (
 
 	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/netsim"
-	"github.com/amuse/smc/internal/transport"
 	"github.com/amuse/smc/internal/wire"
 )
 
@@ -99,17 +98,17 @@ func TestInOrderBurstCoalescesAcks(t *testing.T) {
 // packet arriving ahead of a gap draws a duplicate cumulative ack right
 // away — the fast-retransmit signal — not at some later point.
 func TestReorderedArrivalAcksAtOnce(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
-	ta, _ := sw.Attach(ident.New(1))
-	tb, _ := sw.Attach(ident.New(2))
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
+	ta, _ := nw.Attach(ident.New(1))
+	tb, _ := nw.Attach(ident.New(2))
 
 	// Hold back the first data packet; record every ack the receiver
 	// sends back.
 	var held atomic.Bool
 	var mu sync.Mutex
 	var acks []uint64
-	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+	nw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 		pkt, err := wire.Unmarshal(data)
 		if err != nil {
 			return false, 0

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"github.com/amuse/smc/internal/ident"
-	"github.com/amuse/smc/internal/transport"
+	"github.com/amuse/smc/internal/netsim"
 	"github.com/amuse/smc/internal/wire"
 )
 
@@ -28,13 +28,13 @@ func waitPoolDrained(c *Channel, d time.Duration) (acquired, recycled uint64) {
 // consumer releases every received packet, the receiver's pool
 // counters converge — every acquired packet went back.
 func TestPacketPoolRecycles(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
-	ta, err := sw.Attach(ident.New(1))
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
+	ta, err := nw.Attach(ident.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := sw.Attach(ident.New(2))
+	tb, err := nw.Attach(ident.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestPacketPoolRecycles(t *testing.T) {
 // consumer that drops packets without Release shows up as a lasting
 // acquired/recycled gap of exactly the dropped count.
 func TestPacketPoolLeakDetection(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
-	ta, err := sw.Attach(ident.New(1))
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
+	ta, err := nw.Attach(ident.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := sw.Attach(ident.New(2))
+	tb, err := nw.Attach(ident.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1000,7 +1000,7 @@ func (c *Channel) SendUnreliable(dst ident.ID, ptype wire.PacketType, payload []
 	*bp = b
 	sendErr := c.tr.Send(dst, b)
 	putBuf(bp)
-	if sendErr != nil && !errors.Is(sendErr, transport.ErrUnknownDest) {
+	if sendErr != nil {
 		return fmt.Errorf("unreliable send: %w", sendErr)
 	}
 	return nil

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"github.com/amuse/smc/internal/ident"
-	"github.com/amuse/smc/internal/transport"
+	"github.com/amuse/smc/internal/netsim"
 )
 
 // TestReceiverRestartMidWindow kills a receiver's process identity in
@@ -18,15 +18,15 @@ import (
 // fresh epoch, and deliver the in-flight tail to the new incarnation
 // exactly once, in order — no give-up, no explicit Forget required.
 func TestReceiverRestartMidWindow(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
 
-	senderTr, err := sw.Attach(ident.New(1))
+	senderTr, err := nw.Attach(ident.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recvID := ident.New(2)
-	recvTr, err := sw.Attach(recvID)
+	recvTr, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReceiverRestartMidWindow(t *testing.T) {
 
 	// Phase 2: partition the receiver, then fill the rest of the
 	// window. These sends are transmitted but never acknowledged.
-	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+	nw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 		return to == recvID, 0
 	})
 	comps := make([]*Completion, 0, prefix)
@@ -73,13 +73,13 @@ func TestReceiverRestartMidWindow(t *testing.T) {
 	if err := recv.Close(); err != nil {
 		t.Fatalf("receiver close: %v", err)
 	}
-	recvTr2, err := sw.Attach(recvID)
+	recvTr2, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
 	recv2 := New(recvTr2, cfg)
 	defer recv2.Close()
-	sw.SetDeliveryHook(nil)
+	nw.SetDeliveryHook(nil)
 
 	// The restarted receiver has no memory of sequences 1..prefix, so
 	// the in-flight tail (seqs prefix+1..) parks behind a gap only a
@@ -152,16 +152,16 @@ func TestReceiverRestartMidWindow(t *testing.T) {
 // incarnation must notice acks covering sequences it never sent, reset
 // its stream, and get every payload delivered for real.
 func TestSenderRestartStaleReceiver(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
 
 	senderID := ident.New(1)
-	senderTr, err := sw.Attach(senderID)
+	senderTr, err := nw.Attach(senderID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recvID := ident.New(2)
-	recvTr, err := sw.Attach(recvID)
+	recvTr, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSenderRestartStaleReceiver(t *testing.T) {
 	if err := sender.Close(); err != nil {
 		t.Fatal(err)
 	}
-	senderTr2, err := sw.Attach(senderID)
+	senderTr2, err := nw.Attach(senderID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,16 +238,16 @@ func TestSenderRestartStaleReceiver(t *testing.T) {
 // stale, but must answer with its actual position so the sender can
 // adopt the epoch, reset past it, and converge.
 func TestSenderRestartStaleReceiverAdvancedEpoch(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
 
 	senderID := ident.New(1)
-	senderTr, err := sw.Attach(senderID)
+	senderTr, err := nw.Attach(senderID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recvID := ident.New(2)
-	recvTr, err := sw.Attach(recvID)
+	recvTr, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestSenderRestartStaleReceiverAdvancedEpoch(t *testing.T) {
 	// cycles so its outbound epoch advances, then deliver for real so
 	// the receiver's state adopts the later epoch with cum > 0.
 	for cycle := 0; cycle < 2; cycle++ {
-		sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+		nw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 			return to == recvID, 0
 		})
 		comp := sender.SendAsync(recvID, 100, []byte{0x10 + byte(cycle)})
@@ -273,7 +273,7 @@ func TestSenderRestartStaleReceiverAdvancedEpoch(t *testing.T) {
 			t.Fatalf("cycle %d: want ErrGaveUp, got %v", cycle, err)
 		}
 		comp.Recycle()
-		sw.SetDeliveryHook(nil)
+		nw.SetDeliveryHook(nil)
 		// A divergent payload abandons the stash and bumps the epoch.
 		if err := sender.Send(recvID, 100, []byte{0x20 + byte(cycle)}); err != nil {
 			t.Fatalf("cycle %d divergent send: %v", cycle, err)
@@ -293,7 +293,7 @@ func TestSenderRestartStaleReceiverAdvancedEpoch(t *testing.T) {
 	if err := sender.Close(); err != nil {
 		t.Fatal(err)
 	}
-	senderTr2, err := sw.Attach(senderID)
+	senderTr2, err := nw.Attach(senderID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,15 +332,15 @@ func TestSenderRestartStaleReceiverAdvancedEpoch(t *testing.T) {
 // delivered exactly once — the resume path must not combine with the
 // epoch reset to double-deliver.
 func TestReceiverRestartResumeNoDuplicate(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
 
-	senderTr, err := sw.Attach(ident.New(1))
+	senderTr, err := nw.Attach(ident.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recvID := ident.New(2)
-	recvTr, err := sw.Attach(recvID)
+	recvTr, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestReceiverRestartResumeNoDuplicate(t *testing.T) {
 	recv := New(recvTr, cfg)
 
 	// Black hole from the start: every send fails.
-	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+	nw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 		return to == recvID, 0
 	})
 	const n = 6
@@ -372,13 +372,13 @@ func TestReceiverRestartResumeNoDuplicate(t *testing.T) {
 	if err := recv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recvTr2, err := sw.Attach(recvID)
+	recvTr2, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recv2 := New(recvTr2, cfg)
 	defer recv2.Close()
-	sw.SetDeliveryHook(nil)
+	nw.SetDeliveryHook(nil)
 	sender.Forget(recvID)
 
 	// Application-level retry with identical payloads. The stash is
@@ -414,14 +414,14 @@ func TestReceiverRestartResumeNoDuplicate(t *testing.T) {
 // returns only after every queued send has resolved, and reports
 // ErrDrainTimeout when the destination never acknowledges.
 func TestDrainWaitsForAcks(t *testing.T) {
-	sw := transport.NewSwitch()
-	defer sw.Close()
-	senderTr, err := sw.Attach(ident.New(1))
+	nw := netsim.New(netsim.Perfect)
+	defer nw.Close()
+	senderTr, err := nw.Attach(ident.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recvID := ident.New(2)
-	recvTr, err := sw.Attach(recvID)
+	recvTr, err := nw.Attach(recvID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestDrainWaitsForAcks(t *testing.T) {
 	defer recv.Close()
 
 	// Delay delivery so sends are pending when Drain starts.
-	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+	nw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 		if to == recvID {
 			return false, 30 * time.Millisecond
 		}
@@ -472,7 +472,7 @@ func TestDrainWaitsForAcks(t *testing.T) {
 
 	// Black-holed destination: Drain must give up with ErrDrainTimeout
 	// once it is clear the queue cannot empty in time.
-	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+	nw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 		return to == recvID, 0
 	})
 	comp := sender.SendAsync(recvID, 100, []byte{0xFF})

@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -243,7 +244,10 @@ func (l *Log) Epoch() uint64 { return l.epoch }
 
 // Append appends one event and returns its cursor. When the event
 // carries a publisher dedup ID (hasDedup) that was seen within the
-// dedup window, nothing is appended and dup is true (cursor 0).
+// dedup window, nothing is appended and dup is true (cursor 0). A
+// disk-backed log rebuilds the window on Open from the retained
+// records' AttrDedup attribute, so the ID must be that attribute's
+// value for the window to survive a restart.
 func (l *Log) Append(e *event.Event, dedupID int64, hasDedup bool) (cursor uint64, dup bool) {
 	// Encode and checksum outside the lock: the payload bytes do not
 	// depend on log state, so the append lock serialises only the
@@ -943,7 +947,38 @@ func (l *Log) recover() error {
 	if len(l.segs) > 0 && !clean {
 		l.epoch = newEpoch() // crash recovery: see the doc comment above
 	}
+	l.rebuildDedup()
 	return nil
+}
+
+// rebuildDedup refills the publisher dedup window from the newest
+// DedupWindow retained records that carry AttrDedup, so an ID accepted
+// before a restart is still a duplicate after it. The window lives
+// only in memory; the records themselves hold the IDs.
+func (l *Log) rebuildDedup() {
+	if l.dedup == nil {
+		return
+	}
+	full := func() bool { return len(l.dedupRing) == l.cfg.DedupWindow }
+	for i := len(l.segs) - 1; i >= 0 && !full(); i-- {
+		seg := l.segs[i]
+		for j := len(seg.recs) - 1; j >= 0 && !full(); j-- {
+			rb := seg.recs[j]
+			e, err := wire.DecodeEvent(seg.buf[rb.off : rb.off+rb.n])
+			if err != nil {
+				continue
+			}
+			v, has := e.Get(AttrDedup)
+			id, isInt := v.Int()
+			k := dedupKey{sender: e.Sender, id: id}
+			if _, seen := l.dedup[k]; !has || !isInt || seen {
+				continue
+			}
+			l.dedup[k] = struct{}{}
+			l.dedupRing = append(l.dedupRing, k)
+		}
+	}
+	slices.Reverse(l.dedupRing) // oldest first, as Append evicts
 }
 
 // readSegment loads and validates one segment file, truncating at the

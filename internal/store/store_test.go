@@ -323,6 +323,70 @@ func TestDedupWindow(t *testing.T) {
 	}
 }
 
+// TestDedupWindowSurvivesRestart pins publisher dedup across a
+// restart: Open rebuilds the window from the newest retained records
+// that carry AttrDedup, after a clean Close and after a crash alike.
+func TestDedupWindowSurvivesRestart(t *testing.T) {
+	dedupEvent := func(id int64) *event.Event {
+		e := mkEvent(uint64(id), "dedup")
+		e.SetInt(AttrDedup, id)
+		return e
+	}
+	for _, crash := range []bool{false, true} {
+		name := "clean"
+		if crash {
+			name = "crash"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Dir: dir, SegmentBytes: 1 << 16, SyncEvery: 1, DedupWindow: 4}
+			l, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= 6; id++ {
+				l.Append(dedupEvent(id), id, true)
+			}
+			l.Append(mkEvent(7, "plain"), 0, false) // carries no dedup ID
+			if crash {
+				waitTailRecords(t, segmentPath(dir, 1), 7)
+				// No Close: abandoned as a SIGKILL would leave it.
+			} else if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			// The window holds the newest four IDs: 3, 4, 5 and 6.
+			for _, id := range []int64{6, 3} {
+				if _, dup := r.Append(dedupEvent(id), id, true); !dup {
+					t.Fatalf("dedup ID %d accepted again after restart", id)
+				}
+			}
+			// ID 2 fell outside the window; accepting it evicts the
+			// oldest rebuilt ID, 3 — rebuilt oldest first, not newest.
+			if cur, dup := r.Append(dedupEvent(2), 2, true); dup || cur != 8 {
+				t.Fatalf("ID outside the window: cursor %d dup %v, want 8 false", cur, dup)
+			}
+			if _, dup := r.Append(dedupEvent(4), 4, true); !dup {
+				t.Fatal("ID 4 evicted before the older ID 3")
+			}
+			if _, dup := r.Append(dedupEvent(3), 3, true); dup {
+				t.Fatal("oldest rebuilt ID 3 not evicted first")
+			}
+			other := dedupEvent(6)
+			other.Sender = ident.New(0xDEF)
+			if _, dup := r.Append(other, 6, true); dup {
+				t.Fatal("different sender deduplicated")
+			}
+			_ = l
+		})
+	}
+}
+
 func TestDiskRecoveryGraceful(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Config{Dir: dir, SegmentBytes: 256})

@@ -100,11 +100,12 @@ type BatchSender interface {
 	MaxDatagram() int
 }
 
-// DeliveryHook lets tests intercept unicast datagrams on hook-capable
-// transports (Switch, UDPTransport): returning drop suppresses the
-// datagram, a positive delay defers it — enough to script loss and
-// reorder scenarios on otherwise well-behaved links without standing
-// up a full netsim.Network. The hook must not retain data.
+// DeliveryHook lets tests intercept datagrams on hook-capable
+// transports (netsim.Network.SetDeliveryHook for the simulated network,
+// UDPTransport.SetSendHook for real sockets): returning drop suppresses
+// the datagram, a positive delay defers it — enough to script exact
+// loss and reorder scenarios on otherwise well-behaved links. The hook
+// must not retain data.
 type DeliveryHook func(from, to ident.ID, data []byte) (drop bool, delay time.Duration)
 
 var (
@@ -112,10 +113,6 @@ var (
 	ErrClosed = errors.New("transport: closed")
 	// ErrTimeout reports an expired RecvTimeout deadline.
 	ErrTimeout = errors.New("transport: receive timeout")
-	// ErrUnknownDest reports a send to an ID with no endpoint. Lossy
-	// networks may drop silently instead; callers must not rely on
-	// this error for liveness.
-	ErrUnknownDest = errors.New("transport: unknown destination")
 	// ErrTooLarge reports a datagram above the transport MTU.
 	ErrTooLarge = errors.New("transport: datagram exceeds MTU")
 )

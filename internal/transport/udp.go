@@ -38,6 +38,10 @@ var _ Transport = (*UDPTransport)(nil)
 // MaxUDPDatagram is the largest datagram the transport will send.
 const MaxUDPDatagram = 60 * 1024
 
+// defaultQueueDepth is the receive queue depth unless WithQueueDepth
+// overrides it.
+const defaultQueueDepth = 4096
+
 // UDPOption configures a UDPTransport.
 type UDPOption func(*udpConfig)
 
@@ -119,7 +123,7 @@ func NewUDPTransport(opts ...UDPOption) (*UDPTransport, error) {
 
 // SetSendHook installs (or, with nil, removes) a test hook applied to
 // every unicast Send before it reaches the socket: loss and reorder
-// injection on the real-socket path, mirroring Switch.SetDeliveryHook.
+// injection on the real-socket path, mirroring netsim's delivery hook.
 func (t *UDPTransport) SetSendHook(h DeliveryHook) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

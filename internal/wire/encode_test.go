@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -191,4 +192,30 @@ func TestControlDecodeTruncation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeFilter fuzzes the subscription decoder the bus runs on
+// every member's PktSubscribe: arbitrary bytes must never panic, and a
+// filter that decodes re-encodes to bytes that decode and re-encode
+// identically (the encoding is canonical after one round trip).
+func FuzzDecodeFilter(f *testing.F) {
+	f.Add(EncodeFilter(sampleFilter()))
+	f.Add(EncodeFilter(event.NewFilter()))
+	f.Add(EncodeFilter(event.NewFilter().Where("x", event.OpEq, event.Int(1))))
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fl, err := DecodeFilter(data)
+		if err != nil {
+			return // invalid payloads are rejected, never crash
+		}
+		re := EncodeFilter(fl)
+		fl2, err := DecodeFilter(re)
+		if err != nil {
+			t.Fatalf("re-encoded filter does not decode: %v", err)
+		}
+		if re2 := EncodeFilter(fl2); !bytes.Equal(re, re2) {
+			t.Fatalf("filter re-encode unstable\nfirst  %x\nsecond %x", re, re2)
+		}
+	})
 }

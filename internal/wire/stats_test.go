@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -77,4 +78,32 @@ func TestStatsPacketTypesNamed(t *testing.T) {
 	if PktStatsRequest.String() != "stats-request" || PktStatsResponse.String() != "stats-response" {
 		t.Fatalf("packet type names: %s / %s", PktStatsRequest, PktStatsResponse)
 	}
+}
+
+// FuzzDecodeCellStats fuzzes the stats-response decoder smctap runs on
+// a cell's reply: arbitrary bytes must never panic, and a snapshot that
+// decodes re-encodes to bytes that decode and re-encode identically.
+func FuzzDecodeCellStats(f *testing.F) {
+	f.Add(AppendCellStats(nil, CellStats{
+		Cell: "ward-3", Members: 2, Published: 9,
+		Log:        LogCounters{Enabled: true, Epoch: 7, Events: 3},
+		Durables:   []DurableCounters{{Name: "nurse", Attached: true, Lag: 1}},
+		Federation: []FederationCounters{{Name: "gw", RemoteCell: "icu", Imported: 4}},
+	}))
+	f.Add(AppendCellStats(nil, CellStats{}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeCellStats(data)
+		if err != nil {
+			return // invalid payloads are rejected, never crash
+		}
+		re := AppendCellStats(nil, s)
+		s2, err := DecodeCellStats(re)
+		if err != nil {
+			t.Fatalf("re-encoded stats do not decode: %v", err)
+		}
+		if re2 := AppendCellStats(nil, s2); !bytes.Equal(re, re2) {
+			t.Fatalf("stats re-encode unstable\nfirst  %x\nsecond %x", re, re2)
+		}
+	})
 }
