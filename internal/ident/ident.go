@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -79,6 +80,13 @@ func Random(rng *rand.Rand) ID {
 func (id ID) Addr() (net.IP, int) {
 	ip := net.IPv4(byte(id>>40), byte(id>>32), byte(id>>24), byte(id>>16))
 	return ip, int(id & 0xFFFF)
+}
+
+// AddrPort is Addr as a netip.AddrPort, the allocation-free form the
+// UDP transport addresses its sends with.
+func (id ID) AddrPort() netip.AddrPort {
+	ip := netip.AddrFrom4([4]byte{byte(id >> 40), byte(id >> 32), byte(id >> 24), byte(id >> 16)})
+	return netip.AddrPortFrom(ip, uint16(id))
 }
 
 // IsNil reports whether the ID is the zero ID.

@@ -36,6 +36,10 @@ func TestFromAddrRoundTrip(t *testing.T) {
 		if !ip.Equal(c.ip) || port != c.port {
 			t.Errorf("roundtrip(%v:%d) = %v:%d", c.ip, c.port, ip, port)
 		}
+		ap := id.AddrPort()
+		if !ap.Addr().Is4() || !net.IP(ap.Addr().AsSlice()).Equal(c.ip) || int(ap.Port()) != c.port {
+			t.Errorf("AddrPort(%v:%d) = %v", c.ip, c.port, ap)
+		}
 	}
 }
 

@@ -18,6 +18,20 @@
 //     A packet that finds the queue (Config.QueueDepth) full stays
 //     unacknowledged and the sender's retransmission brings it back.
 //
+// Who transmits. A send into an idle window (nothing in flight to the
+// destination) is stamped and transmitted by the caller, under the
+// destination lock, before SendAsync returns: the latency-bound case
+// of one packet at a time pays no goroutine handoff. Everything else
+// is the destination's sender goroutine: filling a busy window as acks
+// free it (gathered into one transport SendBatch, one sendmmsg on
+// linux UDP), retransmit rounds, fast retransmits and give-up. Both
+// paths go through one window-fill routine. The sender owns the
+// retransmit timer and records when it is armed, so a caller wakes it
+// only when the timer is unarmed or would fire after the caller's
+// packet is due; an ack wakes it only when queued packets wait for
+// the freed window, and a timer that fires on an empty window disarms
+// itself.
+//
 // Acknowledgement policy. The receive loop reads datagrams in bursts
 // (transport.Transport.RecvBatch, up to 32 at a time) and acknowledges
 // in-order arrivals once per sender per burst: each one only records
@@ -418,6 +432,7 @@ type destState struct {
 	gapAcks  int // consecutive acks regressed below the window base
 	fastRetx bool
 	deadline time.Time // retransmit deadline while inflight > 0
+	timerAt  time.Time // when the sender's armed timer fires; zero when unarmed
 	gone     bool      // forgotten or channel closed
 
 	// comps recycles this destination's completions (its own lock; see
@@ -447,6 +462,13 @@ func (ds *destState) putOpLocked(op *sendOp) {
 	*op = sendOp{next: ds.free}
 	ds.free = op
 	ds.nfree++
+}
+
+// timerLateLocked reports whether packets are in flight but the
+// sender's timer is unarmed or set to fire after ds.deadline, so the
+// sender must be woken to re-arm it. Caller holds ds.mu.
+func (ds *destState) timerLateLocked() bool {
+	return ds.inflight > 0 && (ds.timerAt.IsZero() || ds.timerAt.After(ds.deadline))
 }
 
 func (ds *destState) kick() {
@@ -720,7 +742,18 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 	op.comp = comp
 	ds.queue.push(op)
 	c.ctr.sent.Add(1)
-	ds.kick()
+	if ds.inflight > 0 || ds.queue.len() > 1 {
+		// Busy window: the sender goroutine gathers the queue into
+		// one SendBatch.
+		ds.kick()
+		return comp, true, nil
+	}
+	// Idle window: transmit from the calling goroutine, and wake the
+	// sender only to arm its timer.
+	c.fillWindowLocked(ds, nil)
+	if ds.timerLateLocked() {
+		ds.kick()
+	}
 	return comp, true, nil
 }
 
@@ -796,10 +829,58 @@ func (c *Channel) transmit(dst ident.ID, buf []byte) error {
 	return nil
 }
 
-// runSender drains one destination's queue: it keeps up to Window
-// packets in flight, retransmits them on a single per-destination
-// deadline with exponential backoff, and fails the queue when the
-// retry budget is exhausted.
+// fillWindowLocked transmits the queued packets that fit in ds's
+// window, stamping each batch packet's piggybacked ack and starting
+// the retransmit deadline when the window opens. It is the one place
+// that first transmits a packet. With batch non-nil and a batching
+// transport, packets within its MTU are appended to *batch for the
+// caller's SendBatch; the rest, and every packet when batch is nil,
+// go out through Send. Caller holds ds.mu.
+func (c *Channel) fillWindowLocked(ds *destState, batch *[][]byte) {
+	for ds.inflight < c.cfg.Window && ds.inflight < ds.queue.len() {
+		op := ds.queue.at(ds.inflight)
+		c.stampBatchAck(ds, op)
+		if batch != nil && c.bs != nil && (c.mtu == 0 || len(*op.bufp) <= c.mtu) {
+			// Batched path: oversize packets fall through to the
+			// per-packet path below for its ErrTooLarge handling
+			// (they are never transmitted, so gathering order is
+			// preserved).
+			*batch = append(*batch, *op.bufp)
+		} else if err := c.transmit(ds.id, *op.bufp); err != nil {
+			// Permanently unsendable (over the transport MTU): fail
+			// this op now and close the sequence gap by renumbering
+			// the untransmitted ops behind it.
+			settleOp(op, fmt.Errorf("reliable send: %w", err))
+			putBuf(op.bufp)
+			op.bufp = nil
+			c.ctr.failures.Add(1)
+			ds.queue.removeAt(ds.inflight)
+			for i := ds.inflight; i < ds.queue.len(); i++ {
+				later := ds.queue.at(i)
+				later.seq--
+				_ = wire.PatchHeader(*later.bufp, later.flags, ds.epoch, later.seq)
+			}
+			ds.nextSeq--
+			ds.putOpLocked(op)
+			continue
+		}
+		if ds.inflight == 0 {
+			ds.attempts = 0
+			ds.deadline = time.Now().Add(c.backoff(0))
+		}
+		ds.inflight++
+	}
+}
+
+// runSender owns one destination's timer and busy window: it
+// retransmits the in-flight packets on a single per-destination
+// deadline with exponential backoff, fails the queue when the retry
+// budget is exhausted, and fills the window as acks free it. A send
+// into an idle window is transmitted by its caller instead (see
+// enqueue). The sender records its armed timer in ds.timerAt, so
+// callers wake it only when the timer is unarmed or would fire after
+// their packet's deadline; a timer that fires on an empty window
+// disarms itself.
 func (c *Channel) runSender(ds *destState) {
 	defer c.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -864,54 +945,16 @@ func (c *Channel) runSender(ds *destState) {
 			c.transmit(ds.id, *op.bufp)
 			c.ctr.fastRetransmits.Add(1)
 		}
-		for ds.inflight < c.cfg.Window && ds.inflight < ds.queue.len() {
-			op := ds.queue.at(ds.inflight)
-			c.stampBatchAck(ds, op)
-			if c.bs != nil && (c.mtu == 0 || len(*op.bufp) <= c.mtu) {
-				// Batched fast path: gather now, one SendBatch after
-				// the loop. Oversize packets fall through to the
-				// per-packet path below for its ErrTooLarge handling
-				// (they are never transmitted, so gathering order is
-				// preserved).
-				if ds.inflight == 0 {
-					ds.attempts = 0
-					ds.deadline = time.Now().Add(c.backoff(0))
-				}
-				batch = append(batch, *op.bufp)
-				ds.inflight++
-				continue
-			}
-			if err := c.transmit(ds.id, *op.bufp); err != nil {
-				// Permanently unsendable (over the transport MTU):
-				// fail this op now and close the sequence gap by
-				// renumbering the untransmitted ops behind it.
-				settleOp(op, fmt.Errorf("reliable send: %w", err))
-				putBuf(op.bufp)
-				op.bufp = nil
-				c.ctr.failures.Add(1)
-				ds.queue.removeAt(ds.inflight)
-				for i := ds.inflight; i < ds.queue.len(); i++ {
-					later := ds.queue.at(i)
-					later.seq--
-					_ = wire.PatchHeader(*later.bufp, later.flags, ds.epoch, later.seq)
-				}
-				ds.nextSeq--
-				ds.putOpLocked(op)
-				continue
-			}
-			if ds.inflight == 0 {
-				ds.attempts = 0
-				ds.deadline = time.Now().Add(c.backoff(0))
-			}
-			ds.inflight++
-		}
+		c.fillWindowLocked(ds, &batch)
 		flush()
 		wait := time.Duration(-1)
+		ds.timerAt = time.Time{}
 		if ds.inflight > 0 {
 			wait = time.Until(ds.deadline)
 			if wait < 0 {
 				wait = 0
 			}
+			ds.timerAt = ds.deadline
 		}
 		ds.mu.Unlock()
 
@@ -1287,9 +1330,16 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		if ds.inflight > 0 {
 			ds.deadline = time.Now().Add(c.backoff(0))
 		} else {
+			// The armed timer fires once on the empty window and
+			// disarms itself.
 			ds.deadline = time.Time{}
 		}
-		ds.kick()
+		// Wake the sender when the freed window has packets to
+		// transmit, or when the reset backoff brought the deadline
+		// before its timer; a timer that fires early just re-arms.
+		if ds.queue.len() > ds.inflight || ds.timerLateLocked() {
+			ds.kick()
+		}
 	case ds.inflight > 0 && cum+1 == ds.queue.at(0).seq:
 		// Duplicate cumulative ack: the receiver is waiting for our
 		// base packet.

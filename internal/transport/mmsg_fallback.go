@@ -2,10 +2,14 @@
 
 package transport
 
-import "github.com/amuse/smc/internal/ident"
+import (
+	"sync"
+
+	"github.com/amuse/smc/internal/ident"
+)
 
 // Portable fallback: platforms without the recvmmsg/sendmmsg fast
-// path run the one-datagram-per-syscall loop and SendBatch degrades to
+// path read one datagram per syscall and SendBatch degrades to
 // sequential Send calls.
 
 const batchSyscallsAvailable = false
@@ -14,7 +18,28 @@ const batchSyscallsAvailable = false
 // builds share test coverage of multi-chunk batches.
 const mmsgBatch = 32
 
-func (t *UDPTransport) readLoopBatched() bool { return false }
+// recvBufPool recycles full-size receive buffers across receives.
+var recvBufPool = sync.Pool{New: func() interface{} {
+	b := make([]byte, MaxUDPDatagram+1)
+	return &b
+}}
+
+// recv reads one datagram on the calling goroutine. Caller holds
+// t.rmu.
+func (t *UDPTransport) recv(dst []Datagram) (int, error) {
+	bp := recvBufPool.Get().(*[]byte)
+	defer recvBufPool.Put(bp)
+	for {
+		n, from, err := t.conn.ReadFromUDP(*bp)
+		if err != nil {
+			return 0, readErr(err)
+		}
+		if id, err := ident.FromUDPAddr(from); err == nil {
+			dst[0] = pooledDatagram(id, (*bp)[:n])
+			return 1, nil
+		}
+	}
+}
 
 func (t *UDPTransport) sendBatched(dst ident.ID, bufs [][]byte) error {
 	for _, b := range bufs {

@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -10,17 +11,18 @@ import (
 	"github.com/amuse/smc/internal/ident"
 )
 
-// Batched UDP syscalls: recvmmsg on the receive loop and sendmmsg
-// behind SendBatch move up to mmsgBatch datagrams per kernel crossing,
-// so a burst (the reliable layer filling a window, a proxy flushing a
+// Batched UDP syscalls: recvmmsg behind RecvBatch and sendmmsg behind
+// SendBatch move up to mmsgBatch datagrams per kernel crossing, so a
+// burst (the reliable layer filling a window, a proxy flushing a
 // coalesced batch) pays one syscall instead of one per datagram. The
 // golang.org/x/net ipv4 ReadBatch/WriteBatch wrappers provide the same
 // thing, but this module is dependency-free, so the two syscalls are
-// issued directly; both exist on every supported linux kernel (2.6.33
-// / 3.0). Message vectors — headers, iovecs, sockaddrs and receive
-// buffers — are allocated once and reused (recv) or pooled (send), so
-// the steady state adds no per-datagram allocation. Other platforms
-// fall back to the portable one-datagram-per-syscall path
+// issued directly, through the socket's cached syscall.RawConn, on the
+// calling goroutine; both exist on every supported linux kernel
+// (2.6.33 / 3.0). Message vectors — headers, iovecs, sockaddrs,
+// receive buffers and the RawConn callbacks — are pooled, so the
+// steady state adds no per-datagram allocation. Other platforms fall
+// back to the portable one-datagram-per-syscall path
 // (mmsg_fallback.go).
 
 const mmsgBatch = 32
@@ -43,6 +45,29 @@ type msgVec struct {
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet4
 	bufs  [][]byte
+
+	// One syscall's message range hdrs[lo:hi] and its result, with the
+	// RawConn callbacks that issue it bound once, so a call builds no
+	// closure.
+	lo, hi int
+	n      int
+	errno  syscall.Errno
+	recvFn func(fd uintptr) bool
+	sendFn func(fd uintptr) bool
+}
+
+// recv and send issue one non-blocking recvmmsg/sendmmsg over
+// hdrs[lo:hi]. Returning false on EAGAIN parks the goroutine in the
+// runtime poller until the socket is ready again — the batched
+// equivalent of a blocking ReadFromUDP/WriteToUDP.
+func (v *msgVec) recv(fd uintptr) bool {
+	v.n, v.errno = recvmmsg(fd, v.hdrs[v.lo:v.hi], syscall.MSG_DONTWAIT)
+	return v.errno != syscall.EAGAIN
+}
+
+func (v *msgVec) send(fd uintptr) bool {
+	v.n, v.errno = sendmmsg(fd, v.hdrs[v.lo:v.hi], syscall.MSG_DONTWAIT)
+	return v.errno != syscall.EAGAIN
 }
 
 // newMsgVec wires a vector of n messages; withBufs allocates owned
@@ -67,12 +92,19 @@ func newMsgVec(n int, withBufs bool) *msgVec {
 		v.hdrs[i].hdr.Iov = &v.iovs[i]
 		v.hdrs[i].hdr.Iovlen = 1
 	}
+	v.recvFn, v.sendFn = v.recv, v.send
 	return v
 }
 
 // sendVecPool recycles send-side message vectors across SendBatch
 // callers (one reliable sender goroutine per destination).
 var sendVecPool = sync.Pool{New: func() interface{} { return newMsgVec(mmsgBatch, false) }}
+
+// recvVecPool recycles receive vectors (about 2 MB each: every slot
+// holds a full-size datagram). A receive holds one only for the call,
+// so a closed transport's vector serves the next transport instead of
+// becoming garbage.
+var recvVecPool = sync.Pool{New: func() interface{} { return newMsgVec(mmsgBatch, true) }}
 
 func recvmmsg(fd uintptr, hdrs []mmsghdr, flags int) (int, syscall.Errno) {
 	n, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
@@ -110,53 +142,35 @@ func idSockaddr(id ident.ID, sa *syscall.RawSockaddrInet4) {
 	pb[0], pb[1] = byte(v>>8), byte(v)
 }
 
-// readLoopBatched drains the socket with recvmmsg, delivering every
-// datagram of a burst for one syscall. It reports false when batched
-// reads cannot be set up (the caller then runs the portable loop) and
-// true when it ran to socket closure.
-func (t *UDPTransport) readLoopBatched() bool {
-	rc, err := t.conn.SyscallConn()
-	if err != nil {
-		return false
-	}
-	vec := newMsgVec(mmsgBatch, true)
+// recv reads up to len(dst) datagrams with one recvmmsg, parking in
+// the runtime poller until at least one is there. Caller holds t.rmu.
+func (t *UDPTransport) recv(dst []Datagram) (int, error) {
+	v := recvVecPool.Get().(*msgVec)
+	defer recvVecPool.Put(v)
+	v.lo, v.hi = 0, min(len(dst), mmsgBatch)
 	for {
-		var n int
-		var rerr syscall.Errno
-		err := rc.Read(func(fd uintptr) bool {
-			n, rerr = recvmmsg(fd, vec.hdrs, syscall.MSG_DONTWAIT)
-			// Returning false parks the goroutine in the runtime
-			// poller until the socket is readable again — the batched
-			// equivalent of a blocking ReadFromUDP.
-			return !(rerr == syscall.EAGAIN || rerr == syscall.EWOULDBLOCK)
-		})
-		if err != nil {
-			return true // socket closed (or hard poll error): loop done
+		if err := t.rc.Read(v.recvFn); err != nil {
+			return 0, readErr(err)
 		}
-		if rerr != 0 {
-			if rerr == syscall.EINTR {
-				continue
-			}
-			return true
+		if v.errno == syscall.EINTR {
+			continue
 		}
-		for i := 0; i < n; i++ {
-			id, ok := sockaddrID(&vec.names[i])
+		if v.errno != 0 {
+			return 0, fmt.Errorf("udp recv: %w", v.errno)
+		}
+		got := 0
+		for i := 0; i < v.n; i++ {
+			id, ok := sockaddrID(&v.names[i])
 			// Namelen is rewritten by the kernel per message; reset it
 			// for the next call regardless of what this one was.
-			vec.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(vec.names[i]))
-			if !ok {
-				continue
+			v.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(v.names[i]))
+			if ok {
+				dst[got] = pooledDatagram(id, v.bufs[i][:v.hdrs[i].n])
+				got++
 			}
-			dg := pooledDatagram(id, vec.bufs[i][:vec.hdrs[i].n])
-			select {
-			case t.queue <- dg:
-			case <-t.done:
-				dg.Recycle()
-				return true
-			default:
-				// Receive overflow: drop, as real UDP does.
-				dg.Recycle()
-			}
+		}
+		if got > 0 {
+			return got, nil
 		}
 	}
 }
@@ -166,10 +180,6 @@ func (t *UDPTransport) readLoopBatched() bool {
 // remainder; on a datagram network any residual error is
 // indistinguishable from loss, so only setup errors are returned.
 func (t *UDPTransport) sendBatched(dst ident.ID, bufs [][]byte) error {
-	rc, err := t.conn.SyscallConn()
-	if err != nil {
-		return err
-	}
 	vec := sendVecPool.Get().(*msgVec)
 	defer func() {
 		for i := range vec.iovs {
@@ -178,10 +188,7 @@ func (t *UDPTransport) sendBatched(dst ident.ID, bufs [][]byte) error {
 		sendVecPool.Put(vec)
 	}()
 	for len(bufs) > 0 {
-		n := len(bufs)
-		if n > mmsgBatch {
-			n = mmsgBatch
-		}
+		n := min(len(bufs), mmsgBatch)
 		for i := 0; i < n; i++ {
 			idSockaddr(dst, &vec.names[i])
 			vec.iovs[i].Base = &bufs[i][0]
@@ -189,27 +196,20 @@ func (t *UDPTransport) sendBatched(dst ident.ID, bufs [][]byte) error {
 			vec.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(vec.names[i]))
 			vec.hdrs[i].n = 0
 		}
-		sent := 0
-		for sent < n {
-			var k int
-			var serr syscall.Errno
-			werr := rc.Write(func(fd uintptr) bool {
-				k, serr = sendmmsg(fd, vec.hdrs[sent:n], syscall.MSG_DONTWAIT)
-				return !(serr == syscall.EAGAIN || serr == syscall.EWOULDBLOCK)
-			})
-			if werr != nil {
-				return werr
+		for vec.lo, vec.hi = 0, n; vec.lo < n; {
+			if err := t.rc.Write(vec.sendFn); err != nil {
+				return err
 			}
-			if serr != 0 {
-				if serr == syscall.EINTR {
-					continue
-				}
+			if vec.errno == syscall.EINTR {
+				continue
+			}
+			if vec.errno != 0 {
 				// Per-datagram delivery errors (ECONNREFUSED from a
 				// dead peer, ENOBUFS under pressure) are loss on a
 				// datagram network; drop the batch like Send drops.
 				return nil
 			}
-			sent += k
+			vec.lo += vec.n
 		}
 		bufs = bufs[n:]
 	}

@@ -43,8 +43,11 @@ type Transport interface {
 	// stored. A receiver that handles a whole burst before replying
 	// (the reliable channel acknowledges once per sender per burst)
 	// uses it to learn what arrived together. After Close it returns
-	// what is still queued, then ErrClosed. The caller owns every
-	// returned datagram, as with Recv.
+	// ErrClosed; whether datagrams still queued are returned first is
+	// the implementation's: the in-memory network (netsim) drains its
+	// queue, UDP reads the socket on the caller's goroutine and loses
+	// what is left in the socket buffer, as any datagram network may.
+	// The caller owns every returned datagram, as with Recv.
 	RecvBatch(dst []Datagram) (int, error)
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout when
 	// the deadline passes with nothing received.
@@ -57,8 +60,9 @@ type Transport interface {
 // RecvBatchQueue implements Transport.RecvBatch (and, with a one-slot
 // dst, Recv) for a transport whose receive side is a datagram channel
 // and a closed signal: it blocks for the first datagram, then drains
-// what is already queued into the rest of dst. Transports outside this
-// package (netsim) share it.
+// what is already queued into the rest of dst, and after close returns
+// what is still queued before ErrClosed. The in-memory network
+// (netsim) uses it.
 func RecvBatchQueue(queue <-chan Datagram, closed <-chan struct{}, dst []Datagram) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
+	"os"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/amuse/smc/internal/ident"
@@ -19,18 +22,22 @@ import (
 type UDPTransport struct {
 	id   ident.ID
 	conn *net.UDPConn
+	// rc is the socket's raw handle, cached for the batched syscalls.
+	rc syscall.RawConn
 
 	// bcast lists destinations used for the broadcast ID. On a real
 	// wireless segment this would be the subnet broadcast address;
 	// for loopback testing it is the set of peer broadcast listeners.
 	mu     sync.RWMutex
-	bcast  []*net.UDPAddr
+	bcast  []netip.AddrPort
 	hook   DeliveryHook
 	closed bool
 
-	queue chan Datagram
-	done  chan struct{}
-	wg    sync.WaitGroup
+	// Receives run on the caller's goroutine, straight from the
+	// socket: the kernel socket buffer is the only receive queue. rmu
+	// serialises receivers, so a RecvTimeout deadline never reaches
+	// another receiver's read.
+	rmu sync.Mutex
 }
 
 var _ Transport = (*UDPTransport)(nil)
@@ -38,17 +45,18 @@ var _ Transport = (*UDPTransport)(nil)
 // MaxUDPDatagram is the largest datagram the transport will send.
 const MaxUDPDatagram = 60 * 1024
 
-// defaultQueueDepth is the receive queue depth unless WithQueueDepth
-// overrides it.
-const defaultQueueDepth = 4096
+// recvBufferBytes is the kernel receive buffer each socket requests.
+// The socket buffer is the only receive queue, so it holds a burst the
+// receiving goroutine has not read yet: room for about 4096 datagrams
+// of up to 1 KiB. The kernel clamps the request to net.core.rmem_max.
+const recvBufferBytes = 4096 * 1024
 
 // UDPOption configures a UDPTransport.
 type UDPOption func(*udpConfig)
 
 type udpConfig struct {
-	listenIP   net.IP
-	port       int
-	queueDepth int
+	listenIP net.IP
+	port     int
 }
 
 // WithListenIP sets the local IP to bind (default 127.0.0.1).
@@ -60,11 +68,6 @@ func WithListenIP(ip net.IP) UDPOption {
 // prototype's unicast socket).
 func WithPort(port int) UDPOption {
 	return func(c *udpConfig) { c.port = port }
-}
-
-// WithQueueDepth sets the receive queue depth.
-func WithQueueDepth(n int) UDPOption {
-	return func(c *udpConfig) { c.queueDepth = n }
 }
 
 // WithAddr binds the transport to a "host:port" string, the shape the
@@ -92,7 +95,7 @@ func WithAddr(addr string) (UDPOption, error) {
 // NewUDPTransport opens a datagram socket and derives the service ID
 // from its bound address and port.
 func NewUDPTransport(opts ...UDPOption) (*UDPTransport, error) {
-	cfg := udpConfig{listenIP: net.IPv4(127, 0, 0, 1), queueDepth: defaultQueueDepth}
+	cfg := udpConfig{listenIP: net.IPv4(127, 0, 0, 1)}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -110,15 +113,15 @@ func NewUDPTransport(opts ...UDPOption) (*UDPTransport, error) {
 		conn.Close()
 		return nil, err
 	}
-	t := &UDPTransport{
-		id:    id,
-		conn:  conn,
-		queue: make(chan Datagram, cfg.queueDepth),
-		done:  make(chan struct{}),
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udp listen: %w", err)
 	}
-	t.wg.Add(1)
-	go t.readLoop()
-	return t, nil
+	// Best effort: a smaller buffer only means earlier loss under a
+	// burst, which a datagram network tolerates.
+	_ = conn.SetReadBuffer(recvBufferBytes)
+	return &UDPTransport{id: id, conn: conn, rc: rc}, nil
 }
 
 // SetSendHook installs (or, with nil, removes) a test hook applied to
@@ -132,52 +135,18 @@ func (t *UDPTransport) SetSendHook(h DeliveryHook) {
 
 // AddBroadcastPeer registers an address reached by broadcast sends.
 func (t *UDPTransport) AddBroadcastPeer(addr *net.UDPAddr) {
+	ap := addr.AddrPort()
+	// The socket is IPv4: net.IPv4 addresses arrive 4-in-6 mapped.
+	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bcast = append(t.bcast, addr)
+	t.bcast = append(t.bcast, ap)
 }
 
 // LocalAddr exposes the bound UDP address.
 func (t *UDPTransport) LocalAddr() *net.UDPAddr {
 	addr, _ := t.conn.LocalAddr().(*net.UDPAddr)
 	return addr
-}
-
-func (t *UDPTransport) readLoop() {
-	defer t.wg.Done()
-	// Batched receive (recvmmsg) where the platform provides it; the
-	// portable loop below is the fallback — and the safety net should
-	// batched setup fail.
-	if batchSyscallsAvailable && t.readLoopBatched() {
-		return
-	}
-	buf := make([]byte, MaxUDPDatagram+1)
-	for {
-		n, from, err := t.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-t.done:
-			default:
-				// Socket error outside shutdown: stop receiving;
-				// Recv callers see closure when Close runs.
-			}
-			return
-		}
-		id, err := ident.FromUDPAddr(from)
-		if err != nil {
-			continue
-		}
-		dg := pooledDatagram(id, buf[:n])
-		select {
-		case t.queue <- dg:
-		case <-t.done:
-			dg.Recycle()
-			return
-		default:
-			// Receive overflow: drop, as real UDP does.
-			dg.Recycle()
-		}
-	}
 }
 
 // LocalID implements Transport.
@@ -206,26 +175,25 @@ func (t *UDPTransport) Send(dst ident.ID, data []byte) error {
 		if delay > 0 {
 			cp := make([]byte, len(data))
 			copy(cp, data)
-			ip, port := dst.Addr()
 			time.AfterFunc(delay, func() {
 				// Best effort: a closed socket just drops the
 				// datagram, as a real network would.
-				_, _ = t.conn.WriteToUDP(cp, &net.UDPAddr{IP: ip, Port: port})
+				_, _ = t.conn.WriteToUDPAddrPort(cp, dst.AddrPort())
 			})
 			return nil
 		}
 	}
 	if dst.IsBroadcast() {
 		var firstErr error
-		for _, addr := range bcast {
-			if _, err := t.conn.WriteToUDP(data, addr); err != nil && firstErr == nil {
+		for _, ap := range bcast {
+			if _, err := t.conn.WriteToUDPAddrPort(data, ap); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 		return firstErr
 	}
-	ip, port := dst.Addr()
-	_, err := t.conn.WriteToUDP(data, &net.UDPAddr{IP: ip, Port: port})
+	// A netip.AddrPort built from the ID keeps the send allocation-free.
+	_, err := t.conn.WriteToUDPAddrPort(data, dst.AddrPort())
 	if err != nil {
 		return fmt.Errorf("udp send to %s: %w", dst, err)
 	}
@@ -267,35 +235,54 @@ var _ BatchSender = (*UDPTransport)(nil)
 // Recv implements Transport.
 func (t *UDPTransport) Recv() (Datagram, error) {
 	var dg [1]Datagram
-	_, err := RecvBatchQueue(t.queue, t.done, dg[:])
+	_, err := t.RecvBatch(dg[:])
 	return dg[0], err
 }
 
-// RecvBatch implements Transport.
+// RecvBatch implements Transport. It reads the socket on the calling
+// goroutine, parking in the runtime poller until a datagram arrives,
+// and returns up to len(dst) datagrams the kernel already holds (one
+// recvmmsg where the platform has it). Concurrent callers take turns.
+// After Close it returns ErrClosed: datagrams still in the socket
+// buffer are lost, as on any datagram network.
 func (t *UDPTransport) RecvBatch(dst []Datagram) (int, error) {
-	return RecvBatchQueue(t.queue, t.done, dst)
-}
-
-// RecvTimeout implements Transport.
-func (t *UDPTransport) RecvTimeout(d time.Duration) (Datagram, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case dg := <-t.queue:
-		return dg, nil
-	case <-timer.C:
-		return Datagram{}, ErrTimeout
-	case <-t.done:
-		select {
-		case dg := <-t.queue:
-			return dg, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
+	if len(dst) == 0 {
+		return 0, nil
 	}
+	t.rmu.Lock()
+	defer t.rmu.Unlock()
+	return t.recv(dst)
 }
 
-// Close implements Transport.
+// RecvTimeout implements Transport with a socket read deadline. The
+// deadline covers the read itself, not a wait for a concurrent
+// receiver to finish its turn.
+func (t *UDPTransport) RecvTimeout(d time.Duration) (Datagram, error) {
+	var dg [1]Datagram
+	t.rmu.Lock()
+	defer t.rmu.Unlock()
+	if err := t.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+		return Datagram{}, ErrClosed
+	}
+	_, err := t.recv(dg[:])
+	// Clear the deadline so the next receiver blocks as usual; this
+	// fails only on a closed socket, whose reads fail anyway.
+	_ = t.conn.SetReadDeadline(time.Time{})
+	return dg[0], err
+}
+
+// readErr maps a failed socket read onto the Transport errors: an
+// expired deadline is ErrTimeout, anything else (the socket was closed)
+// ErrClosed.
+func readErr(err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return ErrTimeout
+	}
+	return ErrClosed
+}
+
+// Close implements Transport. Closing the socket wakes every parked
+// receiver with ErrClosed.
 func (t *UDPTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -304,8 +291,5 @@ func (t *UDPTransport) Close() error {
 	}
 	t.closed = true
 	t.mu.Unlock()
-	close(t.done)
-	err := t.conn.Close()
-	t.wg.Wait()
-	return err
+	return t.conn.Close()
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -179,5 +181,104 @@ func TestUDPSendHookDropAndDelay(t *testing.T) {
 	}
 	if _, err := b.RecvTimeout(50 * time.Millisecond); err == nil {
 		t.Error("dropped datagram surfaced")
+	}
+}
+
+// TestUDPCloseUnblocksParkedReceivers checks that Close wakes a
+// RecvBatch and a RecvTimeout parked in the socket read with ErrClosed.
+func TestUDPCloseUnblocksParkedReceivers(t *testing.T) {
+	a, b := newUDP(t), newUDP(t)
+	errc := make(chan error, 2)
+	go func() {
+		var dst [4]Datagram
+		_, err := a.RecvBatch(dst[:])
+		errc <- err
+	}()
+	go func() {
+		_, err := b.RecvTimeout(time.Minute)
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	a.Close()
+	b.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("parked receive returned %v, want ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Close did not unblock a parked receive")
+		}
+	}
+}
+
+// TestUDPRecvTimeoutClearsDeadline checks that an expired RecvTimeout
+// reports ErrTimeout and leaves no deadline behind: the next plain Recv
+// still blocks for, and receives, a datagram.
+func TestUDPRecvTimeoutClearsDeadline(t *testing.T) {
+	a, b := newUDP(t), newUDP(t)
+	if _, err := b.RecvTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("RecvTimeout on an idle socket = %v, want ErrTimeout", err)
+	}
+	if err := a.Send(b.LocalID(), []byte("after timeout")); err != nil {
+		t.Fatal(err)
+	}
+	dg, err := b.Recv()
+	if err != nil {
+		t.Fatalf("Recv after an expired RecvTimeout: %v (deadline not cleared)", err)
+	}
+	if string(dg.Data) != "after timeout" {
+		t.Errorf("Recv = %q", dg.Data)
+	}
+}
+
+// TestUDPConcurrentRecvBatchExactlyOnce runs several RecvBatch callers
+// on one socket: every datagram reaches exactly one of them.
+func TestUDPConcurrentRecvBatchExactlyOnce(t *testing.T) {
+	a, b := newUDP(t), newUDP(t)
+	const receivers, count = 4, 400
+	got := make(chan uint16, count)
+	var wg sync.WaitGroup
+	for r := 0; r < receivers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var dst [8]Datagram
+			for {
+				n, err := b.RecvBatch(dst[:])
+				if err != nil {
+					return
+				}
+				for i := range dst[:n] {
+					got <- binary.BigEndian.Uint16(dst[i].Data)
+					dst[i].Recycle()
+				}
+			}
+		}()
+	}
+	var buf [2]byte
+	for i := 0; i < count; i++ {
+		binary.BigEndian.PutUint16(buf[:], uint16(i))
+		if err := a.Send(b.LocalID(), buf[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make([]bool, count)
+	for i := 0; i < count; i++ {
+		select {
+		case v := <-got:
+			if int(v) >= count || seen[v] {
+				t.Fatalf("datagram %d received twice or unknown", v)
+			}
+			seen[v] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("received %d/%d datagrams", i, count)
+		}
+	}
+	b.Close()
+	wg.Wait()
+	if len(got) != 0 {
+		t.Fatalf("%d extra datagrams after all %d arrived", len(got), count)
 	}
 }

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -226,4 +229,49 @@ func TestUnmarshalRandomGarbage(t *testing.T) {
 		// Must never panic; almost always errors.
 		_, _ = Unmarshal(buf)
 	}
+}
+
+// FuzzUnmarshal feeds arbitrary datagrams to both packet decoders the
+// receive path uses: the plain Unmarshal and the pooled decode every
+// reliable channel runs on every datagram first. Neither may panic,
+// and they must agree on whether the bytes are a packet and, if so,
+// on every header field and the payload bytes. With seal set the
+// target first rewrites the CRC trailer to match, so mutated inputs
+// also reach the checks behind the checksum.
+func FuzzUnmarshal(f *testing.F) {
+	pkt := &Packet{Type: PktEvent, Flags: FlagBatch, Epoch: 3, Sender: ident.New(0xA1B2C3D4E5F6), Seq: 77, Payload: []byte("payload")}
+	valid, err := pkt.MarshalBytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, false)
+	f.Add(valid[:len(valid)-1], true)
+	ack, _ := (&Packet{Type: PktAck, Flags: FlagCumAck, Seq: 9}).MarshalBytes()
+	f.Add(ack, true)
+	f.Add([]byte{}, false)
+	pool := NewPacketPool()
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal && len(data) >= HeaderLen+TrailerLen {
+			data = append([]byte(nil), data...)
+			if plen := int(binary.BigEndian.Uint32(data[20:24])); plen <= len(data)-HeaderLen-TrailerLen {
+				binary.BigEndian.PutUint32(data[HeaderLen+plen:], crc32.ChecksumIEEE(data[:HeaderLen+plen]))
+			}
+		}
+		plain, perr := Unmarshal(data)
+		pooled, qerr := pool.Unmarshal(data)
+		if (perr == nil) != (qerr == nil) {
+			t.Fatalf("decoders disagree: Unmarshal err=%v, pooled err=%v", perr, qerr)
+		}
+		if perr != nil {
+			return
+		}
+		defer pooled.Release()
+		if plain.Type != pooled.Type || plain.Flags != pooled.Flags || plain.Epoch != pooled.Epoch ||
+			plain.Sender != pooled.Sender || plain.Seq != pooled.Seq {
+			t.Fatalf("header fields disagree: %v vs %v", plain, pooled)
+		}
+		if !bytes.Equal(plain.Payload, pooled.Payload) {
+			t.Fatalf("payloads disagree: %x vs %x", plain.Payload, pooled.Payload)
+		}
+	})
 }
